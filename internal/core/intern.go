@@ -50,23 +50,14 @@ import (
 // matching the package's guidance that policies be pointers to structs.
 //
 // The intern table and union cache pin their entries, so both are
-// capped. The intern table evicts generationally: each shard keeps a
-// young and an old generation, lookups hit either (an old-generation
-// hit promotes the set back to young), inserts go young, and when the
-// young generation fills to half the cap the old generation is dropped
-// and the young one takes its place. A churn workload therefore sheds
-// only the sets that went a full generation without a hit — the hot
-// set keeps getting promoted and survives — where the previous
-// wholesale flush-at-cap evicted the entire hot set every time the
-// churn crossed the cap. Correctness never depends on the table —
-// equality is decided by canonical IDs — so eviction is always safe.
+// bounded GenCaches (gencache.go): a churn workload sheds only the sets
+// that went a full generation without a hit, while the hot set keeps
+// getting promoted and survives. Correctness never depends on either
+// table — equality is decided by canonical IDs — so eviction is always
+// safe.
 
 const (
-	// numInternShards is the shard count of the set intern table; a
-	// power of two so the hash can select a shard with a mask.
-	numInternShards = 64
-
-	// maxInternedSets caps the set intern table across all shards.
+	// maxInternedSets caps the set intern table.
 	maxInternedSets = 1 << 16
 
 	// maxUnionCacheEntries caps the memoized pairwise-union cache.
@@ -249,80 +240,34 @@ func anyMerger(policies []Policy) bool {
 	return false
 }
 
-// internShard is one bucket group of the set intern table. Buckets are
-// keyed by the canonical hash; collisions chain in a small slice. Each
-// shard keeps two generations: g0 receives inserts and promotions, g1
-// is the previous g0 awaiting its drop at the next rotation.
-type internShard struct {
-	mu sync.Mutex
-	g0 map[uint64][]*PolicySet
-	g1 map[uint64][]*PolicySet
-}
-
 var (
-	internTable [numInternShards]internShard
-	// internedG0Count / internedG1Count track the generations across
-	// all shards; their sum is the table's size, bounded by
-	// maxInternedSets because each generation is bounded by half of it.
-	internedG0Count atomic.Uint64
-	internedG1Count atomic.Uint64
-	flushMu         sync.Mutex
+	// internTable maps a canonical hash to its canonical set.
+	internTable = NewGenCache[uint64, *PolicySet](maxInternedSets, 0, nil)
+
+	// unionCache memoizes Union of interned operands.
+	unionCache = NewGenCache[unionKey, *PolicySet](maxUnionCacheEntries, 0, nil)
 
 	// Interning counters (observability for tests and benchmarks).
 	statSetHits     atomic.Uint64
 	statSetMisses   atomic.Uint64
-	statPromotions  atomic.Uint64
 	statUnionHits   atomic.Uint64
 	statUnionMisses atomic.Uint64
-	statFlushes     atomic.Uint64
 )
-
-// rotateInternTable ages the intern table when the young generation
-// reaches half the cap: every shard drops its old generation and the
-// young one becomes old. Sets referenced since the last rotation were
-// promoted into g0 and survive; only sets that went a full generation
-// without a hit fall out, so a workload that churns distinct sets
-// (fresh policies per decode, attacker-chosen parameter names) sheds
-// the churn while the hot set stays warm. Already-evicted sets stay
-// valid — equality never depends on the table, only on canonical IDs —
-// they merely stop deduplicating against it. The union cache is left
-// alone: its entries are keyed by canonical instances whose identity
-// rotation does not disturb (it has its own cap and flush).
-func rotateInternTable() {
-	flushMu.Lock()
-	defer flushMu.Unlock()
-	if internedG0Count.Load() < maxInternedSets/2 {
-		return // another goroutine rotated first
-	}
-	// Swap the counter before the maps: an insert racing the shard walk
-	// can mis-attribute its increment by one generation, which skews
-	// pacing by at most a few entries and corrects at the next rotation.
-	internedG1Count.Store(internedG0Count.Swap(0))
-	for i := range internTable {
-		sh := &internTable[i]
-		sh.mu.Lock()
-		sh.g1 = sh.g0
-		sh.g0 = nil
-		sh.mu.Unlock()
-	}
-	statFlushes.Add(1)
-}
 
 // Intern canonicalizes s into the process-wide intern table and returns
 // the canonical instance: the first set with these members that was
 // interned. Interning is worthwhile for sets that will be compared or
 // unioned repeatedly — long-lived application policy sets, memoized
 // deserialized annotations — and is a no-op for sets that cannot carry
-// canonical IDs. The table evicts generationally (see
-// rotateInternTable): a hit in the old generation promotes the
-// canonical instance back into the young one, so frequently-interned
-// sets survive cap-crossing churn.
+// canonical IDs. Frequently-interned sets survive cap-crossing churn,
+// because the table is generational.
 //
 // ID-equality between live sets implies member identity up to the
 // astronomically unlikely cross-type XOR collision (addrA ^ saltA ==
 // addrB ^ saltB); because a conflated canonical instance would
-// persistently mislabel data, the bucket walk — a cold path — verifies
-// candidates member-wise rather than trusting IDs alone.
+// persistently mislabel data, a candidate is verified member-wise
+// rather than trusting IDs alone. A set whose hash slot holds a
+// different set stays uninterned, which is always sound.
 func (s *PolicySet) Intern() *PolicySet {
 	if s.Len() == 0 {
 		return EmptySet
@@ -330,54 +275,28 @@ func (s *PolicySet) Intern() *PolicySet {
 	if s.interned || !s.idsOK {
 		return s
 	}
-	if internedG0Count.Load() >= maxInternedSets/2 {
-		rotateInternTable()
-	}
-	sh := &internTable[s.hash&(numInternShards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, c := range sh.g0[s.hash] {
-		if equalPolicyIDs(c.ids, s.ids) && samePolicies(s.policies, c.policies) {
-			statSetHits.Add(1)
+	c, ok := internTable.Get(s.hash)
+	if !ok {
+		// Register a fresh canonical instance rather than mutating s,
+		// which may be shared with concurrent readers. The slices are
+		// immutable and safely shared.
+		c, ok = internTable.GetOrAdd(s.hash, &PolicySet{
+			policies: s.policies,
+			ids:      s.ids,
+			hash:     s.hash,
+			idsOK:    true,
+			interned: true,
+			mergers:  s.mergers,
+		})
+		if !ok {
+			statSetMisses.Add(1)
 			return c
 		}
 	}
-	for i, c := range sh.g1[s.hash] {
-		if equalPolicyIDs(c.ids, s.ids) && samePolicies(s.policies, c.policies) {
-			// Promote: the set proved it is still hot, so it moves to the
-			// young generation and survives the next rotation. Same
-			// canonical pointer — union-cache entries keyed on it stay
-			// valid.
-			bucket := sh.g1[s.hash]
-			sh.g1[s.hash] = append(bucket[:i:i], bucket[i+1:]...)
-			if sh.g0 == nil {
-				sh.g0 = make(map[uint64][]*PolicySet)
-			}
-			sh.g0[s.hash] = append(sh.g0[s.hash], c)
-			internedG1Count.Add(^uint64(0))
-			internedG0Count.Add(1)
-			statSetHits.Add(1)
-			statPromotions.Add(1)
-			return c
-		}
+	if !equalPolicyIDs(c.ids, s.ids) || !samePolicies(s.policies, c.policies) {
+		return s
 	}
-	statSetMisses.Add(1)
-	if sh.g0 == nil {
-		sh.g0 = make(map[uint64][]*PolicySet)
-	}
-	// Register a fresh canonical instance rather than mutating s, which
-	// may be shared with concurrent readers. The slices are immutable
-	// and safely shared.
-	c := &PolicySet{
-		policies: s.policies,
-		ids:      s.ids,
-		hash:     s.hash,
-		idsOK:    true,
-		interned: true,
-		mergers:  s.mergers,
-	}
-	sh.g0[s.hash] = append(sh.g0[s.hash], c)
-	internedG0Count.Add(1)
+	statSetHits.Add(1)
 	return c
 }
 
@@ -394,47 +313,14 @@ func newUnionKey(a, b *PolicySet) unionKey {
 	return unionKey{a, b}
 }
 
-var (
-	unionCache      atomic.Pointer[sync.Map] // *sync.Map of unionKey → *PolicySet
-	unionCacheCount atomic.Uint64
-)
-
-func init() { unionCache.Store(new(sync.Map)) }
-
 // cachedUnion returns the memoized union of two interned sets.
 func cachedUnion(a, b *PolicySet) (*PolicySet, bool) {
-	if v, ok := unionCache.Load().Load(newUnionKey(a, b)); ok {
+	if u, ok := unionCache.Get(newUnionKey(a, b)); ok {
 		statUnionHits.Add(1)
-		return v.(*PolicySet), true
+		return u, true
 	}
 	statUnionMisses.Add(1)
 	return nil, false
-}
-
-// storeUnion records a computed union. At the cap the cache is flushed
-// wholesale, so union-pair churn costs a periodic re-warm instead of
-// permanently disabling memoization. An entry stored into a map that a
-// concurrent flush is swapping out is simply lost, which is harmless.
-func storeUnion(a, b, result *PolicySet) {
-	if unionCacheCount.Load() >= maxUnionCacheEntries {
-		flushUnionCache()
-	}
-	if _, loaded := unionCache.Load().LoadOrStore(newUnionKey(a, b), result); !loaded {
-		unionCacheCount.Add(1)
-	}
-}
-
-// flushUnionCache empties the memoized-union cache when it reaches its
-// own cap; intern-table rotation deliberately leaves it alone.
-func flushUnionCache() {
-	flushMu.Lock()
-	defer flushMu.Unlock()
-	if unionCacheCount.Load() < maxUnionCacheEntries {
-		return // another goroutine flushed first
-	}
-	unionCache.Store(new(sync.Map))
-	unionCacheCount.Store(0)
-	statFlushes.Add(1)
 }
 
 // InternStats is a snapshot of the interning machinery's counters,
@@ -453,21 +339,21 @@ type InternStats struct {
 	UnionHits, UnionMisses uint64
 	// UnionEntries is the number of memoized union results.
 	UnionEntries uint64
-	// Flushes counts intern-table generation rotations plus wholesale
-	// union-cache evictions.
+	// Flushes counts generation rotations of the intern table and the
+	// union cache.
 	Flushes uint64
 }
 
 // ReadInternStats returns a snapshot of the interning counters.
 func ReadInternStats() InternStats {
 	return InternStats{
-		Sets:         internedG0Count.Load() + internedG1Count.Load(),
+		Sets:         uint64(internTable.Len()),
 		SetHits:      statSetHits.Load(),
 		SetMisses:    statSetMisses.Load(),
-		Promotions:   statPromotions.Load(),
+		Promotions:   internTable.Promotions(),
 		UnionHits:    statUnionHits.Load(),
 		UnionMisses:  statUnionMisses.Load(),
-		UnionEntries: unionCacheCount.Load(),
-		Flushes:      statFlushes.Load(),
+		UnionEntries: uint64(unionCache.Len()),
+		Flushes:      internTable.Rotations() + unionCache.Rotations(),
 	}
 }

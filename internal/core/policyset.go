@@ -30,7 +30,7 @@ type PolicySet struct {
 	// policy with a well-defined address identity).
 	idsOK bool
 	// interned marks an instance that was registered in the intern
-	// table (possibly in a since-flushed generation); such sets are
+	// table (possibly since evicted from it); such sets are
 	// eligible for the memoized-union cache, and within one table
 	// generation equal members yield the same instance.
 	interned bool
@@ -271,7 +271,7 @@ func (s *PolicySet) Union(t *PolicySet) *PolicySet {
 		lineageDerive(u, s, t)
 	}
 	if bothInterned {
-		storeUnion(s, t, u)
+		u, _ = unionCache.GetOrAdd(newUnionKey(s, t), u)
 	}
 	return u
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"reflect"
 	"sync"
 )
@@ -242,13 +243,16 @@ func (c *CompiledAnnotation) PolicySet() *PolicySet {
 	return set
 }
 
-// annCompileMemo caches CompileAnnotation results per annotation bytes,
-// bounded and flushed wholesale at cap (the shared eviction idiom:
-// churn re-warms, it never permanently disables the cache).
-var annCompileMemo struct {
-	mu    sync.RWMutex
-	m     map[string]*CompiledAnnotation
-	bytes int
+// The annotation memos below are GenCaches keyed by a seeded hash of
+// the stored bytes rather than by the bytes themselves: passing
+// string(annotation) to a method copies it, while hashing the slice
+// does not, so the hit path stays allocation-free. Each entry keeps its
+// bytes and a hit compares them, so a hash collision is just a miss.
+var memoSeed = maphash.MakeSeed()
+
+type compileMemoEntry struct {
+	annotation string
+	c          *CompiledAnnotation
 }
 
 const (
@@ -262,6 +266,10 @@ const (
 	annCompileMemoMaxTotal = 8 << 20
 )
 
+// annCompileMemo caches CompileAnnotation results per annotation bytes.
+var annCompileMemo = NewGenCache(annCompileMemoCap, annCompileMemoMaxTotal,
+	func(_ uint64, e compileMemoEntry) int { return len(e.annotation) })
+
 // CompileAnnotation parses a policy annotation (the EncodeSpans wire
 // form) into a reusable CompiledAnnotation, re-instantiating each
 // policy object and interning each span's policy set. Results are
@@ -274,12 +282,11 @@ func CompileAnnotation(annotation []byte) (*CompiledAnnotation, error) {
 		return nil, nil
 	}
 	memoizable := len(annotation) <= annCompileMemoMaxBytes
+	var key uint64
 	if memoizable {
-		annCompileMemo.mu.RLock()
-		memoized, ok := annCompileMemo.m[string(annotation)]
-		annCompileMemo.mu.RUnlock()
-		if ok {
-			return memoized, nil
+		key = maphash.Bytes(memoSeed, annotation)
+		if e, ok := annCompileMemo.Get(key); ok && e.annotation == string(annotation) {
+			return e.c, nil
 		}
 	}
 	var ws []wireSpan
@@ -300,26 +307,17 @@ func CompileAnnotation(annotation []byte) (*CompiledAnnotation, error) {
 		if memoizable {
 			// Only memoized compiles intern: an oversized annotation
 			// instantiates fresh policies per call, so interning would
-			// be a guaranteed table miss each time, churning and
-			// flushing the global table.
+			// be a guaranteed table miss each time, churning the
+			// global table.
 			set = set.Intern()
 		}
 		c.spans = append(c.spans, compiledSpan{start: w.Start, end: w.End, set: set})
 	}
 	if memoizable {
-		annCompileMemo.mu.Lock()
-		if annCompileMemo.m == nil || len(annCompileMemo.m) >= annCompileMemoCap ||
-			annCompileMemo.bytes >= annCompileMemoMaxTotal {
-			annCompileMemo.m = make(map[string]*CompiledAnnotation, 64)
-			annCompileMemo.bytes = 0
+		// Racing compiles converge on the installed one.
+		if e, _ := annCompileMemo.GetOrAdd(key, compileMemoEntry{string(annotation), c}); e.annotation == string(annotation) {
+			c = e.c
 		}
-		if existing, ok := annCompileMemo.m[string(annotation)]; ok {
-			c = existing // racing compile: keep the installed one
-		} else {
-			annCompileMemo.m[string(annotation)] = c
-			annCompileMemo.bytes += len(annotation)
-		}
-		annCompileMemo.mu.Unlock()
 	}
 	return c, nil
 }
@@ -331,32 +329,27 @@ func CompileAnnotation(annotation []byte) (*CompiledAnnotation, error) {
 // can share one immutable String, including its policy objects and its
 // interned sets; without the memo each re-read would re-parse JSON,
 // re-instantiate policies, and register never-matching fresh sets in
-// the intern table. The memo is flushed wholesale at its cap, bounding
-// memory on annotation-churning workloads.
-// The memo nests raw → annotation → result so the hit path can index
-// the inner map with string(annotation) directly (the compiler elides
-// that conversion's allocation for map lookups); a flat struct key
-// would copy the annotation bytes on every call.
-var spanDecodeMemo struct {
-	mu    sync.RWMutex
-	m     map[string]map[string]String
-	n     int
-	bytes int
+// the intern table.
+var spanDecodeMemo = NewGenCache(spanDecodeMemoCap, spanDecodeMemoMaxTotal,
+	func(_ uint64, e decodeMemoEntry) int { return len(e.raw) + len(e.annotation) })
+
+type decodeMemoEntry struct {
+	raw, annotation string
+	s               String
 }
 
 const (
 	// spanDecodeMemoCap bounds the total number of memoized decodes.
 	spanDecodeMemoCap = 4096
 	// spanDecodeMemoMaxBytes bounds the size of a single memoized
-	// entry (raw + annotation): entries pin their bytes until the next
-	// wholesale flush, and a workload decoding large annotated files
-	// (the vfs read path passes whole file bodies) must not pin
+	// entry (raw + annotation): a workload decoding large annotated
+	// files (the vfs read path passes whole file bodies) must not pin
 	// gigabytes while staying under the entry-count cap. Oversized
 	// decodes skip the memo and are simply decoded each time.
 	spanDecodeMemoMaxBytes = 64 << 10
 	// spanDecodeMemoMaxTotal bounds the cumulative raw+annotation
 	// bytes pinned by the memo, so many distinct entries near the
-	// per-entry limit flush early instead of holding hundreds of
+	// per-entry limit rotate early instead of holding hundreds of
 	// megabytes until the entry-count cap trips.
 	spanDecodeMemoMaxTotal = 32 << 20
 )
@@ -378,17 +371,16 @@ func DecodeSpans(raw string, annotation []byte) (String, error) {
 		return t, nil
 	}
 	memoizable := len(raw)+len(annotation) <= spanDecodeMemoMaxBytes
+	var key uint64
 	if memoizable {
-		spanDecodeMemo.mu.RLock()
-		memoized, ok := spanDecodeMemo.m[raw][string(annotation)]
-		spanDecodeMemo.mu.RUnlock()
-		if ok {
+		key = maphash.Bytes(memoSeed, annotation) ^ maphash.String(memoSeed, raw)*0x9e3779b97f4a7c15
+		if e, ok := spanDecodeMemo.Get(key); ok && e.raw == raw && e.annotation == string(annotation) {
 			// A memo hit is still a boundary crossing: the caller is
 			// re-reading stored bytes, so lineage must see it.
-			if lineageOn() && len(memoized.spans) > 0 {
-				lineageRecordSpans(memoized, "deserialize", "core.decode")
+			if lineageOn() && len(e.s.spans) > 0 {
+				lineageRecordSpans(e.s, "deserialize", "core.decode")
 			}
-			return memoized, nil
+			return e.s, nil
 		}
 	}
 	comp, err := CompileAnnotation(annotation)
@@ -400,24 +392,7 @@ func DecodeSpans(raw string, annotation []byte) (String, error) {
 		lineageRecordSpans(t, "deserialize", "core.decode")
 	}
 	if memoizable {
-		spanDecodeMemo.mu.Lock()
-		if spanDecodeMemo.m == nil || spanDecodeMemo.n >= spanDecodeMemoCap ||
-			spanDecodeMemo.bytes >= spanDecodeMemoMaxTotal {
-			spanDecodeMemo.m = make(map[string]map[string]String, 64)
-			spanDecodeMemo.n = 0
-			spanDecodeMemo.bytes = 0
-		}
-		inner := spanDecodeMemo.m[raw]
-		if inner == nil {
-			inner = make(map[string]String, 1)
-			spanDecodeMemo.m[raw] = inner
-		}
-		if _, exists := inner[string(annotation)]; !exists {
-			inner[string(annotation)] = t
-			spanDecodeMemo.n++
-			spanDecodeMemo.bytes += len(raw) + len(annotation)
-		}
-		spanDecodeMemo.mu.Unlock()
+		spanDecodeMemo.GetOrAdd(key, decodeMemoEntry{raw, string(annotation), t})
 	}
 	return t, nil
 }

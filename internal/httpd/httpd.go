@@ -159,13 +159,11 @@ type Server struct {
 	// every request's "http:<name>" parameter shares a single
 	// UntrustedData policy object and one interned policy set — the
 	// input side of the tracking hot path stays on pointer comparisons
-	// across requests. Bounded by maxTaintFilters against unbounded
-	// parameter-name cardinality. Guarded by its own RWMutex rather
-	// than s.mu: the lookup runs once per parameter per request and is
-	// a pure read after warm-up, so it must not contend with the
-	// session/route lock.
-	taintMu      sync.RWMutex
-	taintFilters map[string]*core.TaintReadFilter
+	// across requests. A core.GenCache bounded by maxTaintFilters:
+	// attacker-chosen parameter names churn through it while the names
+	// an application actually uses keep their filters. It has its own
+	// lock, so the per-parameter lookup never contends with s.mu.
+	taintFilters *core.GenCache[string, *core.TaintReadFilter]
 }
 
 // maxTaintFilters bounds the per-parameter-name taint filter cache.
@@ -178,7 +176,7 @@ func NewServer(rt *core.Runtime) *Server {
 		rt:           rt,
 		routes:       make(map[string]Handler),
 		sessions:     make(map[string]*Session),
-		taintFilters: make(map[string]*core.TaintReadFilter),
+		taintFilters: core.NewGenCache[string, *core.TaintReadFilter](maxTaintFilters, 0, nil),
 		bodyFilters: []core.Filter{
 			core.ExportCheckFilter{},
 		},
@@ -273,37 +271,10 @@ func (s *Server) Do(method, path string, params map[string]string, sess *Session
 // taintFilter returns the shared input taint filter for a parameter
 // name, creating and caching it on first use.
 func (s *Server) taintFilter(name string) *core.TaintReadFilter {
-	s.taintMu.RLock()
-	tf, ok := s.taintFilters[name]
-	full := len(s.taintFilters) >= maxTaintFilters
-	s.taintMu.RUnlock()
-	if ok {
+	if tf, ok := s.taintFilters.Get(name); ok {
 		return tf
 	}
-	// Over the cap, parameter names are attacker-influenced churn:
-	// build a plain one-shot filter — outside any lock, so churned
-	// names don't serialize concurrent requests — rather than
-	// interning a policy set that will never recur.
-	oneShot := func() *core.TaintReadFilter {
-		return &core.TaintReadFilter{
-			Policies: []core.Policy{&sanitize.UntrustedData{Source: "http:" + name}},
-		}
-	}
-	if full {
-		return oneShot()
-	}
-	s.taintMu.Lock()
-	if tf, ok := s.taintFilters[name]; ok {
-		s.taintMu.Unlock()
-		return tf
-	}
-	if len(s.taintFilters) >= maxTaintFilters {
-		s.taintMu.Unlock()
-		return oneShot()
-	}
-	tf = core.NewTaintReadFilter(&sanitize.UntrustedData{Source: "http:" + name})
-	s.taintFilters[name] = tf
-	s.taintMu.Unlock()
+	tf, _ := s.taintFilters.GetOrAdd(name, core.NewTaintReadFilter(&sanitize.UntrustedData{Source: "http:" + name}))
 	return tf
 }
 

@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -44,6 +45,28 @@ func TestRequestParamsAreTainted(t *testing.T) {
 	}
 	if got.Raw() != "<b>hi</b>" || resp.Status != 200 {
 		t.Errorf("raw=%q status=%d", got.Raw(), resp.Status)
+	}
+}
+
+// TestHotParamFilterSurvivesNameChurn: attacker-chosen parameter names
+// churn through the bounded taint-filter cache, but a parameter sent on
+// every request keeps one shared filter (and so one interned policy
+// set) throughout.
+func TestHotParamFilterSurvivesNameChurn(t *testing.T) {
+	s := NewServer(core.NewRuntime())
+	s.Handle("/p", func(req *Request, resp *Response) error { return nil })
+	hot := s.taintFilter("q")
+	for i := 0; i < 3*maxTaintFilters; i++ {
+		params := map[string]string{"q": "v", fmt.Sprintf("junk%d", i): "v"}
+		if _, err := s.Do("GET", "/p", params, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.taintFilters.Len() > maxTaintFilters {
+		t.Errorf("filter cache holds %d entries, cap %d", s.taintFilters.Len(), maxTaintFilters)
+	}
+	if s.taintFilter("q") != hot {
+		t.Error("hot parameter lost its shared taint filter to name churn")
 	}
 }
 

@@ -41,9 +41,9 @@ type Edge struct {
 }
 
 const (
-	// maxStates bounds tracked policy contents; at cap the state table
-	// flushes wholesale (the repo's shared eviction idiom: churn
-	// re-warms, it never permanently disables the monitor).
+	// maxStates bounds tracked policy contents. The state table and the
+	// label memo are core.GenCaches: contents that go a full generation
+	// without a crossing age out, the live ones keep getting promoted.
 	maxStates = 8192
 	// maxEventsPerState bounds stored edges per policy content; beyond
 	// it edges advance the cursor but are counted as dropped.
@@ -66,14 +66,14 @@ type setState struct {
 var mon struct {
 	mu       sync.Mutex
 	seq      uint64
-	labels   map[*core.PolicySet]string // pointer → content-label memo
-	states   map[string]*setState       // content label → state
-	seenPair map[string]bool            // (from, to) pairs already observed
+	labels   *core.GenCache[*core.PolicySet, string] // pointer → content-label memo
+	states   *core.GenCache[string, *setState]       // content label → state
+	seenPair map[string]bool                         // (from, to) pairs already observed
 	observer func(Edge)
-	flushes  int
 }
 
 func init() {
+	Reset()
 	core.SetLineageHooks(record, derive)
 }
 
@@ -93,10 +93,9 @@ func Reset() {
 	mon.mu.Lock()
 	defer mon.mu.Unlock()
 	mon.seq = 0
-	mon.labels = nil
-	mon.states = nil
+	mon.labels = core.NewGenCache[*core.PolicySet, string](maxLabelMemo, 0, nil)
+	mon.states = core.NewGenCache[string, *setState](maxStates, 0, nil)
 	mon.seenPair = nil
-	mon.flushes = 0
 }
 
 // SetObserver installs a callback invoked once per never-before-seen
@@ -115,18 +114,18 @@ type Stats struct {
 	Sets    int // tracked policy contents
 	Events  int // stored edges across all contents
 	Dropped int // edges dropped at per-content cap
-	Flushes int // wholesale state-table flushes at cap
+	Flushes int // state-table generation rotations
 }
 
 // ReadStats returns current monitor occupancy.
 func ReadStats() Stats {
 	mon.mu.Lock()
 	defer mon.mu.Unlock()
-	s := Stats{Sets: len(mon.states), Flushes: mon.flushes}
-	for _, st := range mon.states {
+	s := Stats{Sets: mon.states.Len(), Flushes: int(mon.states.Rotations())}
+	mon.states.Range(func(_ string, st *setState) {
 		s.Events += len(st.events)
 		s.Dropped += st.dropped
-	}
+	})
 	return s
 }
 
@@ -176,8 +175,8 @@ func traceSets(sets []*core.PolicySet) []Edge {
 			continue
 		}
 		visited[lbl] = true
-		st := mon.states[lbl]
-		if st == nil {
+		st, ok := mon.states.Get(lbl)
+		if !ok {
 			continue
 		}
 		out = append(out, st.events...)
@@ -274,16 +273,9 @@ func addParent(st *setState, p *core.PolicySet) {
 // label) as needed. Caller holds mon.mu.
 func stateFor(set *core.PolicySet) *setState {
 	lbl := labelLocked(set)
-	st := mon.states[lbl]
-	if st == nil {
-		if mon.states == nil {
-			mon.states = make(map[string]*setState, 64)
-		} else if len(mon.states) >= maxStates {
-			mon.states = make(map[string]*setState, 64)
-			mon.flushes++
-		}
-		st = &setState{label: lbl}
-		mon.states[lbl] = st
+	st, ok := mon.states.Get(lbl)
+	if !ok {
+		st, _ = mon.states.GetOrAdd(lbl, &setState{label: lbl})
 	}
 	return st
 }
@@ -291,14 +283,10 @@ func stateFor(set *core.PolicySet) *setState {
 // labelLocked returns the content label for set, memoized per pointer.
 // Caller holds mon.mu.
 func labelLocked(set *core.PolicySet) string {
-	if lbl, ok := mon.labels[set]; ok {
+	if lbl, ok := mon.labels.Get(set); ok {
 		return lbl
 	}
-	lbl := labelOf(set)
-	if mon.labels == nil || len(mon.labels) >= maxLabelMemo {
-		mon.labels = make(map[*core.PolicySet]string, 64)
-	}
-	mon.labels[set] = lbl
+	lbl, _ := mon.labels.GetOrAdd(set, labelOf(set))
 	return lbl
 }
 

@@ -663,20 +663,6 @@ func (e *Engine) checkOps(ops []rowOp) error {
 	return nil
 }
 
-// applyReplayOps validates and applies one WAL record's ops during
-// recovery, bumping the frontier exactly like the live mutation did.
-func (e *Engine) applyReplayOps(ops []rowOp) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.checkOps(ops); err != nil {
-		return err
-	}
-	born := e.frontier.Load() + 1
-	e.applyOps(ops, born)
-	e.frontier.Store(born)
-	return nil
-}
-
 // applyReplayGroup validates and applies one committed WAL transaction
 // group under a single commit version — the replay mirror of commitOps,
 // which logs a whole group and bumps the frontier exactly once. Using it
@@ -711,19 +697,9 @@ func (e *Engine) applyReplayGroup(items []walItem) error {
 				return verr
 			}
 			apply()
-		case *Select:
-			return fmt.Errorf("sqldb: non-mutating statement in WAL: %s", it.stmt)
 		default:
-			// Legacy v1 DML statement record: validate and apply under
-			// the group's single version.
-			_, ops, verr := e.validateDML(stmt)
-			if verr != nil {
-				return verr
-			}
-			if len(ops) > 0 {
-				e.applyOps(ops, born)
-				bumped = true
-			}
+			// v2 logs DML as row ops; a statement record is DDL only.
+			return fmt.Errorf("sqldb: non-DDL statement in WAL: %s", it.stmt)
 		}
 	}
 	if bumped {

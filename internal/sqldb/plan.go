@@ -36,9 +36,9 @@ import (
 
 // planCacheCap bounds the number of cached templates. Applications use a
 // fixed set of query shapes, so the cap exists only to keep adversarial
-// or generated workloads from growing the table without bound; at cap
-// the cache is flushed wholesale (the established idiom here: churn
-// costs a periodic re-warm, never a permanently disabled cache).
+// or generated workloads from growing the table without bound. The
+// cache is a core.GenCache: churned shapes age out a generation at a
+// time while the shapes in use keep getting promoted.
 const planCacheCap = 1024
 
 // planModeStandard and planModeAutoSanitize prefix cache keys so the two
@@ -59,8 +59,7 @@ type PlanCacheStats struct {
 
 // cachedPlan is one compiled query template.
 type cachedPlan struct {
-	tmpl  Statement // parameterized AST; shared, never mutated
-	nlits int
+	tmpl Statement // parameterized AST; shared, never mutated
 
 	// Schema-derived compilation state, guarded by mu: pcols is the
 	// policy-column set of the statement's table as of generation gen.
@@ -71,11 +70,11 @@ type cachedPlan struct {
 
 // planCache maps parameterized token-stream keys to compiled templates.
 // The map is read-mostly (every query looks up, only compiles insert),
-// so lookups take the read lock and concurrent cached SELECTs stay
-// parallel end to end — the engine's own read path runs under RLock too.
+// and a hit takes only the cache's read lock, so concurrent cached
+// SELECTs stay parallel end to end — the engine's own read path runs
+// under RLock too.
 type planCache struct {
-	mu sync.RWMutex
-	m  map[string]*cachedPlan
+	m *core.GenCache[string, *cachedPlan]
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -83,7 +82,7 @@ type planCache struct {
 }
 
 func newPlanCache() *planCache {
-	return &planCache{m: make(map[string]*cachedPlan, 64)}
+	return &planCache{m: core.NewGenCache[string, *cachedPlan](planCacheCap, 0, nil)}
 }
 
 func (c *planCache) stats() PlanCacheStats {
@@ -95,11 +94,7 @@ func (c *planCache) stats() PlanCacheStats {
 }
 
 // reset empties the cache (tests and benchmarks).
-func (c *planCache) reset() {
-	c.mu.Lock()
-	c.m = make(map[string]*cachedPlan, 64)
-	c.mu.Unlock()
-}
+func (c *planCache) reset() { c.m.Reset() }
 
 // literalSlots classifies which tokens of a stream are bindable literal
 // slots. It is the single source of truth for planKey and parameterize:
@@ -387,29 +382,15 @@ func bindArity(toks []Token, nbound int) error {
 // binding has actually succeeded.
 func (c *planCache) compile(toks []Token, mode byte) (plan *cachedPlan, lits []Token, cached bool, err error) {
 	key, lits := planKey(toks, mode)
-
-	c.mu.RLock()
-	plan = c.m[key]
-	c.mu.RUnlock()
-	if plan != nil && plan.nlits == len(lits) {
+	if plan, ok := c.m.Get(key); ok {
 		return plan, lits, true, nil
 	}
-
 	tmpl, err := ParseTokens(parameterize(toks))
 	if err != nil {
 		return nil, lits, false, err
 	}
-	plan = &cachedPlan{tmpl: tmpl, nlits: len(lits)}
-	c.mu.Lock()
-	if len(c.m) >= planCacheCap {
-		c.m = make(map[string]*cachedPlan, 64)
-	}
-	if existing, ok := c.m[key]; ok && existing.nlits == len(lits) {
-		plan = existing // racing compile: keep the installed one
-	} else {
-		c.m[key] = plan
-	}
-	c.mu.Unlock()
+	// Racing compiles converge on the installed template.
+	plan, _ = c.m.GetOrAdd(key, &cachedPlan{tmpl: tmpl})
 	return plan, lits, false, nil
 }
 

@@ -207,9 +207,7 @@ func TestPlanCacheBoundedFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.mu.Lock()
-	n := len(c.m)
-	c.mu.Unlock()
+	n := c.m.Len()
 	if n > planCacheCap {
 		t.Errorf("plan cache grew past its cap: %d > %d", n, planCacheCap)
 	}

@@ -10,12 +10,14 @@ import (
 )
 
 // Recovery: OpenDB replays the log at path into a fresh engine, then
-// truncates any torn tail and attaches the log for appending. DDL
-// records replay through the live execution path (Parse +
-// Engine.ExecuteRaw); row-ops records are semantically validated
-// (Engine.checkOps) and applied with their logged stable ids, so the
-// recovered entries, scan order, ordered-index buckets, and shadow
-// policy columns are bit-for-bit what the live engine held. The engine
+// truncates any torn tail and attaches the log for appending. Every
+// record replays through Engine.applyReplayGroup, as the follower's
+// shipping path does: DDL records are validated and applied (a DML
+// statement record is corruption), and row-ops records are
+// semantically validated (Engine.checkOps) and applied with their
+// logged stable ids, so the recovered entries, scan order,
+// ordered-index buckets, and shadow policy columns are bit-for-bit what
+// the live engine held. The engine
 // gets a fresh process-unique schema generation per replayed DDL, so
 // plans cached against a previous incarnation recompile instead of
 // reusing stale schema conclusions.
@@ -23,26 +25,17 @@ import (
 // OpenDB opens a database persisted in a write-ahead log at path,
 // replaying the committed record prefix (see docs/SQL.md §8). An empty
 // path returns an in-memory database, exactly like Open — existing
-// callers and benchmarks pay nothing for the persistence layer. A
-// legacy v1 (statement-format) log replays compatibly and is rewritten
-// in place as v2 before the open returns, so later appends never mix
-// formats.
+// callers and benchmarks pay nothing for the persistence layer.
 func OpenDB(rt *core.Runtime, path string) (*DB, error) {
 	db := Open(rt)
 	if path == "" {
 		return db, nil
 	}
-	w, legacy, err := replayWAL(path, db.engine)
+	w, err := replayWAL(path, db.engine)
 	if err != nil {
 		return nil, err
 	}
 	db.engine.attachWAL(w)
-	if legacy {
-		if err := db.Compact(); err != nil {
-			db.engine.closeWAL() //nolint:errcheck
-			return nil, fmt.Errorf("sqldb: upgrade v1 WAL: %w", err)
-		}
-	}
 	return db, nil
 }
 
@@ -133,22 +126,13 @@ type walItem struct {
 	ops  []rowOp
 }
 
-func applyWALItem(engine *Engine, it walItem) error {
-	if it.ops != nil {
-		return engine.applyReplayOps(it.ops)
-	}
-	return applyWALStmt(engine, it.stmt)
-}
-
 // replayWAL opens (creating if absent) the log at path, applies its
 // committed prefix to engine, truncates any torn tail, and returns the
-// log positioned for appending. legacy reports a v1 statement-format
-// log, which the caller must compact (rewriting it as v2) before
-// appending anything.
-func replayWAL(path string, engine *Engine) (*wal, bool, error) {
+// log positioned for appending.
+func replayWAL(path string, engine *Engine) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	// Single writer: two handles replaying and then appending to the
 	// same log at independent offsets would interleave frames and
@@ -156,17 +140,17 @@ func replayWAL(path string, engine *Engine) (*wal, bool, error) {
 	// wal.close (or process exit).
 	if err := lockWALFile(f); err != nil {
 		f.Close()
-		return nil, false, fmt.Errorf("%w: %s", ErrWALBusy, path)
+		return nil, fmt.Errorf("%w: %s", ErrWALBusy, path)
 	}
 	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
-		return nil, false, err
+		return nil, err
 	}
 
-	corrupt := func(off int64, reason string, underlying error) (*wal, bool, error) {
+	corrupt := func(off int64, reason string, underlying error) (*wal, error) {
 		f.Close()
-		return nil, false, &WALCorruptionError{Path: path, Offset: off, Reason: reason, Err: underlying}
+		return nil, &WALCorruptionError{Path: path, Offset: off, Reason: reason, Err: underlying}
 	}
 
 	if len(data) < walHeaderSize {
@@ -176,17 +160,15 @@ func replayWAL(path string, engine *Engine) (*wal, bool, error) {
 		if !strings.HasPrefix(walMagic, string(data)) && len(data) > 0 {
 			return corrupt(0, "not a RESIN WAL (bad magic)", nil)
 		}
-		w, err := resetWAL(path, f)
-		return w, false, err
+		return resetWAL(path, f)
 	}
 	if string(data[:len(walMagic)]) != walMagic {
 		return corrupt(0, "not a RESIN WAL (bad magic)", nil)
 	}
 	version := data[len(walMagic)]
-	if version != walVersion && version != walVersionLegacy {
+	if version != walVersion {
 		return corrupt(int64(len(walMagic)), fmt.Sprintf("unsupported WAL version %d (want %d)", version, walVersion), nil)
 	}
-	legacy := version == walVersionLegacy
 
 	// goodEnd is the offset after the last *applied* record: a standalone
 	// statement or ops record, or a transaction's commit marker. Records
@@ -211,14 +193,11 @@ func replayWAL(path string, engine *Engine) (*wal, bool, error) {
 				group = append(group, it)
 				continue
 			}
-			if err := applyWALItem(engine, it); err != nil {
+			if err := engine.applyReplayGroup([]walItem{it}); err != nil {
 				return corrupt(recStart, "statement replay failed", err)
 			}
 			goodEnd = int64(off)
 		case walRecOps:
-			if legacy {
-				return corrupt(recStart, "row-ops record in a v1 WAL", nil)
-			}
 			ops, err := decodeOpsPayload(payload[1:])
 			if err != nil {
 				return corrupt(recStart, "undecodable row-ops record", err)
@@ -228,7 +207,7 @@ func replayWAL(path string, engine *Engine) (*wal, bool, error) {
 				group = append(group, it)
 				continue
 			}
-			if err := applyWALItem(engine, it); err != nil {
+			if err := engine.applyReplayGroup([]walItem{it}); err != nil {
 				return corrupt(recStart, "row-ops replay failed", err)
 			}
 			goodEnd = int64(off)
@@ -263,18 +242,18 @@ func replayWAL(path string, engine *Engine) (*wal, bool, error) {
 	if goodEnd < int64(len(data)) {
 		if err := f.Truncate(goodEnd); err != nil {
 			f.Close()
-			return nil, false, fmt.Errorf("sqldb: truncate torn WAL tail: %w", err)
+			return nil, fmt.Errorf("sqldb: truncate torn WAL tail: %w", err)
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, false, fmt.Errorf("sqldb: sync truncated WAL: %w", err)
+			return nil, fmt.Errorf("sqldb: sync truncated WAL: %w", err)
 		}
 	}
 	if _, err := f.Seek(goodEnd, 0); err != nil {
 		f.Close()
-		return nil, false, err
+		return nil, err
 	}
-	return &wal{path: path, f: f, size: goodEnd}, legacy, nil
+	return &wal{path: path, f: f, size: goodEnd}, nil
 }
 
 // resetWAL starts the log over with a fresh header (new file, or a file
@@ -298,21 +277,4 @@ func resetWAL(path string, f *os.File) (*wal, error) {
 		return nil, err
 	}
 	return &wal{path: path, f: f, size: int64(len(hdr))}, nil
-}
-
-// applyWALStmt replays one logged statement. Logged statements are the
-// rewritten forms the engine executed, so replay parses and executes
-// them raw — no filter pass, no second policy-column rewrite.
-func applyWALStmt(engine *Engine, text string) error {
-	stmt, err := Parse(core.NewString(text))
-	if err != nil {
-		return err
-	}
-	if _, ok := stmt.(*Select); ok {
-		return fmt.Errorf("sqldb: non-mutating statement in WAL: %s", text)
-	}
-	if _, _, err := engine.ExecuteRaw(stmt); err != nil {
-		return err
-	}
-	return nil
 }

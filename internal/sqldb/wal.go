@@ -18,7 +18,7 @@ import (
 // (core.CompileAnnotation) re-interns the policy sets on first read.
 //
 // File format v2 (normative spec in docs/SQL.md §8, pinned byte-for-byte
-// by testdata/wal_v2.golden; v1 logs are still read — see below):
+// by testdata/wal_v2.golden; any other version byte is corruption):
 //
 //	header:  8-byte magic "RESINWAL" + 1 version byte (0x02)
 //	record:  uint32 LE payload length | uint32 LE CRC-32 (IEEE) of the
@@ -40,9 +40,8 @@ import (
 // v2 logs rows by stable id instead of re-logging DML text: replay
 // rebuilds the exact entries (ids, scan order, index buckets) the live
 // engine had, which is what lets transactions merge per-row instead of
-// swapping whole engines. Version byte 0x01 opens read-only-compatibly:
-// recovery replays its statement records and immediately compacts the
-// log, rewriting it as v2 (recover.go).
+// swapping whole engines. A statement record carrying DML is
+// corruption: v2 never writes one.
 //
 // Records outside B..C markers apply on replay as they are read; a
 // B..C group applies atomically at its commit marker, and a group whose
@@ -56,7 +55,6 @@ import (
 const (
 	walMagic         = "RESINWAL"
 	walVersion       = 0x02
-	walVersionLegacy = 0x01
 	walHeaderSize    = len(walMagic) + 1
 	walRecHeaderSize = 8
 	// walMaxRecord bounds one record's payload, enforced symmetrically:

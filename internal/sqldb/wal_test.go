@@ -220,6 +220,7 @@ func TestWALCorruptionTyped(t *testing.T) {
 	cases := map[string][]byte{
 		"bad-magic":            []byte("NOTAWALFILEATALL"),
 		"bad-version":          append([]byte(walMagic), 0x7f),
+		"v1-header":            append([]byte(walMagic), 0x01),
 		"unknown-record-type":  appendRecord(append([]byte(nil), header...), []byte{'Z', 1, 2}),
 		"commit-without-begin": appendRecord(append([]byte(nil), header...), []byte{walRecCommit}),
 		"select-in-log":        appendRecord(append([]byte(nil), header...), stmtPayload("SELECT * FROM t")),
