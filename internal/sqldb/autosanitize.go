@@ -30,7 +30,7 @@ func LexAutoSanitize(q core.String) ([]Token, error) {
 	untrusted := func(i int) bool {
 		return q.PoliciesAt(i).Any(sanitize.IsUntrusted)
 	}
-	var toks []Token
+	toks := make([]Token, 0, tokenCapHint(src))
 	i := 0
 	for i < len(src) {
 		if untrusted(i) {

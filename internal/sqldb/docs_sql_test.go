@@ -102,7 +102,7 @@ func TestFigure4ExampleRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", issued, err)
 		}
-		rewritten, err := RewriteWithPolicies(engine, stmt)
+		rewritten, err := rewriteFresh(engine, stmt)
 		if err != nil {
 			t.Fatalf("rewrite %q: %v", issued, err)
 		}
@@ -200,7 +200,7 @@ func TestFigure4PreparedExampleRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewrittenCreate, err := RewriteWithPolicies(engine, create)
+	rewrittenCreate, err := rewriteFresh(engine, create)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFigure4PreparedExampleRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewritten, err := RewriteWithPolicies(engine, stmt)
+	rewritten, err := rewriteFresh(engine, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

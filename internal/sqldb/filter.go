@@ -151,153 +151,62 @@ func (f *ResinSQLFilter) AutoSanitizeUntrusted(on bool) {
 	f.autoSanitize = on
 }
 
-func (f *ResinSQLFilter) flags() (s1, s2, auto bool) {
+// filterFlags is one reading of the filter's assertion settings.
+type filterFlags struct{ s1, s2, auto bool }
+
+func (f *ResinSQLFilter) flags() filterFlags {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.requireSanitized, f.rejectTaintedStru, f.autoSanitize
+	return filterFlags{f.requireSanitized, f.rejectTaintedStru, f.autoSanitize}
 }
 
 // FilterFunc interposes on the query function: args is {query
-// core.String, engine *Engine} with an optional third element carrying
-// bound `?`-placeholder arguments — either the []Expr of a variadic
-// DB.Query/Tx.Query call, or the *preparedExec of a Stmt execution. On
-// success it returns {result *Result}. Bound arguments travel as
-// values, never as text, so the injection assertions — which inspect
-// the query text — skip bound slots by construction.
+// core.String, engine *Engine, *preparedExec} — every query, text or
+// prepared, arrives as a compiled statement plus its bound arguments.
+// On success it returns {result *Result}. The assertion verdicts were
+// computed against the immutable statement text when it compiled, so
+// neither the tokenizer nor the parser runs here; bound arguments travel
+// as values, never as text, so the injection assertions skip bound
+// slots by construction. A one-shot text query applies the flags it read
+// when it compiled, so it is judged and executed in one mode.
 func (f *ResinSQLFilter) FilterFunc(ch *core.Channel, args []any) ([]any, error) {
-	if len(args) != 2 && len(args) != 3 {
-		return nil, fmt.Errorf("sqldb: filter expects (query, engine[, bound]), got %d args", len(args))
-	}
-	q, ok := args[0].(core.String)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: filter arg 0 must be core.String, got %T", args[0])
+	if len(args) != 3 {
+		return nil, fmt.Errorf("sqldb: filter expects (query, engine, statement), got %d args", len(args))
 	}
 	engine, ok := args[1].(*Engine)
 	if !ok {
 		return nil, fmt.Errorf("sqldb: filter arg 1 must be *Engine, got %T", args[1])
 	}
-	var bound []Expr
-	if len(args) == 3 {
-		switch v := args[2].(type) {
-		case *preparedExec:
-			return f.execPrepared(ch, engine, v)
-		case []Expr:
-			bound = v
-		default:
-			return nil, fmt.Errorf("sqldb: filter arg 2 must be bound arguments, got %T", args[2])
-		}
+	p, ok := args[2].(*preparedExec)
+	if !ok {
+		return nil, fmt.Errorf("sqldb: filter arg 2 must be a statement execution, got %T", args[2])
 	}
-
-	s1, s2, auto := f.flags()
-	if s1 {
-		if start, end, found := sanitize.UnsanitizedSQL(q); found {
-			return nil, &core.AssertionError{
-				Context: ch.Context(), Op: "export_check",
-				Err: &InjectionError{Strategy: "sanitized-markers", Query: q.Raw(), Start: start, End: end},
-			}
-		}
-	}
-
-	// Tokenize, then resolve through the plan cache: a repeated query
-	// shape binds its literals — and its bound arguments — into the
-	// cached template without ever reaching the parser. The strategy-2
-	// check always judges the standard token stream; on the non-auto
-	// path it shares the single lex with execution.
-	plans := f.planner()
-	var stmt Statement
-	var plan *cachedPlan
-	var err error
-	if auto {
-		if s2 {
-			if cerr := checkTaintedStructure(q); cerr != nil {
-				return nil, &core.AssertionError{Context: ch.Context(), Op: "export_check", Err: cerr}
-			}
-		}
-		stmt, plan, err = plans.prepareQuery(q, true, bound)
-	} else {
-		toks, lerr := Lex(q)
-		if s2 {
-			cerr := lerr
-			if cerr == nil {
-				cerr = checkTaintedStructureTokens(q, toks)
-			}
-			if cerr != nil {
-				return nil, &core.AssertionError{Context: ch.Context(), Op: "export_check", Err: cerr}
-			}
-		}
-		if lerr != nil {
-			return nil, lerr
-		}
-		stmt, plan, err = plans.prepare(toks, planModeStandard, bound)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res, err := executePlanned(plans, plan, engine, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return []any{res}, nil
-}
-
-// execPrepared executes a prepared statement through the filter: the
-// assertion verdicts were precomputed against the immutable prepared
-// text, binding substitutes argument values into the cached template,
-// and neither the tokenizer nor the parser runs.
-func (f *ResinSQLFilter) execPrepared(ch *core.Channel, engine *Engine, p *preparedExec) ([]any, error) {
-	s1, s2, auto := f.flags()
 	st := p.stmt
-	if s1 && st.s1Found {
+	fl := st.flags
+	if !st.oneShot {
+		fl = f.flags()
+	}
+	if fl.s1 && st.s1Found {
 		return nil, &core.AssertionError{
 			Context: ch.Context(), Op: "export_check",
 			Err: &InjectionError{Strategy: "sanitized-markers", Query: st.query.Raw(), Start: st.s1Start, End: st.s1End},
 		}
 	}
-	if s2 && st.s2Err != nil {
+	if fl.s2 && st.s2Err != nil {
 		return nil, &core.AssertionError{Context: ch.Context(), Op: "export_check", Err: st.s2Err}
 	}
-	if auto && st.textUntrusted {
-		// The prepared text itself carries untrusted bytes and the
-		// auto-sanitizing tokenizer is on: re-lex under taint-aware
-		// rules so the untrusted bytes are neutralized exactly as on
-		// the text path. (Prepared text is normally programmer-authored
-		// and untainted; this path trades speed for fidelity.)
-		plans := f.planner()
-		stmt, plan, err := plans.prepareQuery(st.query, true, p.bound)
-		if err != nil {
-			return nil, err
-		}
-		res, err := executePlanned(plans, plan, engine, stmt)
-		if err != nil {
-			return nil, err
-		}
-		return []any{res}, nil
-	}
-	stmt, err := st.bind(p.bound)
-	if err != nil {
-		return nil, err
-	}
-	res, err := executePlanned(f.planner(), st.plan, engine, stmt)
+	res, err := st.execute(f.planner(), engine, p.bound, fl.auto, true)
 	if err != nil {
 		return nil, err
 	}
 	return []any{res}, nil
 }
 
-// checkTaintedStructure implements strategy 2: every byte of the query
-// that is not inside a string or number literal — keywords, identifiers,
-// operators, punctuation, whitespace, comments — must carry no
-// UntrustedData policy.
-func checkTaintedStructure(q core.String) error {
-	toks, err := Lex(q)
-	if err != nil {
-		return err
-	}
-	return checkTaintedStructureTokens(q, toks)
-}
-
-// checkTaintedStructureTokens is checkTaintedStructure over an
-// already-lexed stream (Prepare reuses its one tokenize).
+// checkTaintedStructureTokens implements strategy 2 over the standard
+// token stream of q: every byte of the query that is not inside a
+// string or number literal — keywords, identifiers, operators,
+// punctuation, whitespace, comments — must carry no UntrustedData
+// policy.
 func checkTaintedStructureTokens(q core.String, toks []Token) error {
 	// Collect the byte ranges occupied by value literals; every tainted
 	// byte must fall inside one of them.
@@ -409,38 +318,10 @@ func stmtPolicyTables(stmt Statement) []string {
 	return nil
 }
 
-// executeWithPolicies rewrites stmt to persist/fetch policy columns,
-// executes it, and re-attaches policies to the result (Figure 4). It is
-// the unplanned path (transaction views, diagnostics); queries arriving
-// through the filter use executePlanned, which caches the schema-derived
-// rewrite state on the plan.
-func executeWithPolicies(engine *Engine, stmt Statement) (*Result, error) {
-	var pcols map[string]bool
-	if tables := stmtPolicyTables(stmt); len(tables) > 0 {
-		pcols = policyColSet(engine, tables)
-	}
-	return execWithPCols(engine, stmt, pcols)
-}
-
-// executePlanned is executeWithPolicies for plan-cached statements: the
-// policy-column set comes from the plan, recompiled only when the
-// engine's schema generation moved since compilation.
-func executePlanned(plans *planCache, plan *cachedPlan, engine *Engine, stmt Statement) (*Result, error) {
-	var pcols map[string]bool
-	if tables := stmtPolicyTables(stmt); len(tables) > 0 {
-		if plan != nil {
-			pcols = plans.pcolsFor(plan, engine, tables)
-		} else {
-			pcols = policyColSet(engine, tables)
-		}
-	}
-	return execWithPCols(engine, stmt, pcols)
-}
-
-// execWithPCols rewrites stmt against the given policy-column set,
-// executes it, and re-attaches policies to SELECT results.
-func execWithPCols(engine *Engine, stmt Statement, pcols map[string]bool) (*Result, error) {
-	rewritten, err := rewriteWithPCols(stmt, pcols)
+// execute rewrites stmt to persist/fetch policy columns, executes it,
+// and re-attaches policies to the result (Figure 4).
+func (c *planCache) execute(plan *cachedPlan, engine *Engine, stmt Statement) (*Result, error) {
+	rewritten, err := c.rewrite(plan, engine, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -454,23 +335,19 @@ func execWithPCols(engine *Engine, stmt Statement, pcols map[string]bool) (*Resu
 	return fromRaw(nil, affected, false, "")
 }
 
-// RewriteWithPolicies returns the statement the RESIN filter hands the
-// engine in place of stmt: CREATE TABLE grows a shadow policy column
-// per data column, INSERT and UPDATE store each value's serialized
-// policy, SELECT fetches policy columns alongside data columns. DROP,
-// DELETE, and the index statements pass through unchanged. The worked
-// Figure 4 example in docs/SQL.md is pinned to this function's output
-// by a test.
-func RewriteWithPolicies(engine *Engine, stmt Statement) (Statement, error) {
+// rewrite returns the statement the RESIN filter hands the engine in
+// place of stmt: CREATE TABLE grows a shadow policy column per data
+// column, INSERT and UPDATE store each value's serialized policy, SELECT
+// fetches policy columns alongside data columns. DROP, DELETE, and the
+// index statements pass through unchanged. The policy-column set comes
+// from plan, recomputed only when the engine's schema generation moved
+// since it was computed. The worked Figure 4 example in docs/SQL.md is
+// pinned to this function's output by a test.
+func (c *planCache) rewrite(plan *cachedPlan, engine *Engine, stmt Statement) (Statement, error) {
 	var pcols map[string]bool
 	if tables := stmtPolicyTables(stmt); len(tables) > 0 {
-		pcols = policyColSet(engine, tables)
+		pcols = c.pcolsFor(plan, engine, tables)
 	}
-	return rewriteWithPCols(stmt, pcols)
-}
-
-// rewriteWithPCols is the pure policy-persistence rewrite (Figure 4).
-func rewriteWithPCols(stmt Statement, pcols map[string]bool) (Statement, error) {
 	switch s := stmt.(type) {
 	case *CreateTable:
 		return rewriteCreate(s), nil
@@ -858,6 +735,7 @@ func makeCellUnion(v value, set *core.PolicySet) Cell {
 // the channel's filter chain (injection assertions + policy persistence),
 // with tracking disabled it executes directly against the engine.
 type DB struct {
+	surface
 	rt      *core.Runtime
 	channel *core.Channel
 	filter  *ResinSQLFilter
@@ -875,6 +753,7 @@ type DB struct {
 // filter installed on its query channel.
 func Open(rt *core.Runtime) *DB {
 	db := &DB{rt: rt, engine: NewEngine(), filter: &ResinSQLFilter{}}
+	db.surface = surface{db: db}
 	db.channel = core.NewChannel(rt, core.KindSQL, db.filter)
 	return db
 }
@@ -893,73 +772,4 @@ func (db *DB) Engine() *Engine {
 	db.txMu.RLock()
 	defer db.txMu.RUnlock()
 	return db.engine
-}
-
-// Query parses and executes one statement built as a tracked string.
-// args bind the statement's `?` placeholders by position — tracked
-// values (core.String, core.Int) keep their policies, plain Go values
-// bind untainted, and no argument is ever spliced into the query text.
-// The historical zero-argument form is the args-free call.
-func (db *DB) Query(q core.String, args ...any) (*Result, error) {
-	engine := db.Engine()
-	bound, err := argExprs(args)
-	if err != nil {
-		return nil, err
-	}
-	out, err := db.channel.Call(queryCallArgs(q, engine, bound))
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 1 {
-		if res, ok := out[0].(*Result); ok {
-			return res, nil
-		}
-	}
-	// Tracking disabled (or no filter consumed the call): execute raw,
-	// still through the plan cache so repeated shapes skip the parser.
-	stmt, _, err := db.filter.planner().prepareQuery(q, false, bound)
-	if err != nil {
-		return nil, err
-	}
-	raw, affected, err := engine.ExecuteRaw(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return fromRaw(raw, affected, false, "")
-}
-
-// queryCallArgs builds the channel-call argument list for a text query:
-// the historical {query, engine} pair, plus the bound arguments when
-// the variadic form was used.
-func queryCallArgs(q core.String, engine *Engine, bound []Expr) []any {
-	if bound == nil {
-		return []any{q, engine}
-	}
-	return []any{q, engine, bound}
-}
-
-// QueryRaw is a convenience wrapper for untracked query text.
-func (db *DB) QueryRaw(q string, args ...any) (*Result, error) {
-	return db.Query(core.NewString(q), args...)
-}
-
-// Exec runs a statement and returns only the number of rows affected —
-// the right-sized result for INSERT/UPDATE/DELETE callers that were
-// discarding the *Result.
-func (db *DB) Exec(q core.String, args ...any) (int, error) {
-	res, err := db.Query(q, args...)
-	if err != nil {
-		return 0, err
-	}
-	return res.Affected, nil
-}
-
-// MustExec runs a query and panics on error; used by application setup
-// code for schema creation.
-func (db *DB) MustExec(q string) *Result {
-	res, err := db.QueryRaw(q)
-	if err != nil {
-		panic(fmt.Sprintf("sqldb: %s: %v", q, err))
-	}
-	return res
 }

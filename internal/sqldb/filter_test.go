@@ -24,6 +24,17 @@ func openDB(t *testing.T) *DB {
 	return Open(core.NewRuntime())
 }
 
+// rewriteFresh and executeFresh run the filter's Figure 4 rewrite with a
+// plan of their own, so the policy-column set is read from e's schema as
+// it stands.
+func rewriteFresh(e *Engine, stmt Statement) (Statement, error) {
+	return newPlanCache().rewrite(&cachedPlan{}, e, stmt)
+}
+
+func executeFresh(e *Engine, stmt Statement) (*Result, error) {
+	return newPlanCache().execute(&cachedPlan{}, e, stmt)
+}
+
 func TestCreateAddsPolicyColumns(t *testing.T) {
 	db := openDB(t)
 	db.MustExec("CREATE TABLE users (name TEXT, password TEXT, age INT)")

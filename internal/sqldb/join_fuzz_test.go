@@ -83,10 +83,10 @@ func FuzzJoinAggregate(f *testing.F) {
 			return // the prefix does not force SELECT; other verbs have no dual executor
 		}
 		e := db.Engine()
-		planned, aerr := executeWithPolicies(e, sel)
+		planned, aerr := executeFresh(e, sel)
 		forced := *sel
 		forced.ForceLoop, forced.ForceScan = true, true
-		oracle, berr := executeWithPolicies(e, &forced)
+		oracle, berr := executeFresh(e, &forced)
 		if (aerr == nil) != (berr == nil) {
 			t.Fatalf("%q: planned err=%v, oracle err=%v", q, aerr, berr)
 		}

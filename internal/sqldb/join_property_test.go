@@ -38,10 +38,10 @@ func diffPlanned(t testing.TB, db *DB, q string) {
 		t.Fatalf("%s: not a SELECT", q)
 	}
 	e := db.Engine()
-	planned, aerr := executeWithPolicies(e, sel)
+	planned, aerr := executeFresh(e, sel)
 	forced := *sel
 	forced.ForceLoop, forced.ForceScan = true, true
-	oracle, berr := executeWithPolicies(e, &forced)
+	oracle, berr := executeFresh(e, &forced)
 	if (aerr == nil) != (berr == nil) {
 		t.Fatalf("%s: planned err=%v, oracle err=%v", q, aerr, berr)
 	}

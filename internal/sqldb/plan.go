@@ -10,7 +10,8 @@ import (
 	"resin/internal/core"
 )
 
-// The plan cache: prepared statements without a prepare API.
+// The plan cache: every query compiles through it (stmt.go), text
+// queries and prepared statements alike.
 //
 // Applications in this codebase (and the PHP applications the paper
 // interposes on) issue the same query *shapes* over and over with
@@ -131,12 +132,15 @@ func countPlaceholders(toks []Token) int {
 	return n
 }
 
-// placeholderNames returns the name of each binding ordinal ("" for the
-// positional `?` form), indexed by ordinal.
+// placeholderNames returns the name of each binding ordinal, indexed by
+// ordinal; nil when every placeholder is the positional `?` form.
 func placeholderNames(toks []Token) []string {
-	out := make([]string, countPlaceholders(toks))
+	var out []string
 	for _, t := range toks {
-		if t.Type == TokPlaceholder {
+		if t.Type == TokPlaceholder && t.Name != "" {
+			if out == nil {
+				out = make([]string, countPlaceholders(toks))
+			}
 			out[t.ParamIdx] = t.Name
 		}
 	}
@@ -205,31 +209,6 @@ func litExpr(t Token) (Expr, error) {
 	default:
 		return nil, fmt.Errorf("sqldb: plan literal slot bound to %s token", t.Type)
 	}
-}
-
-// literalBinds converts the literal-slot tokens of a stream into the
-// per-slot expressions a template is bound with: inline string/number
-// literals convert as parsePrimary would, and placeholder slots take
-// the bound-argument expression at their binding ordinal (so every
-// repetition of one `:name` binds the same argument). The caller has
-// already checked arity (binding ordinal count == len(bound)).
-func literalBinds(lits []Token, bound []Expr) ([]Expr, error) {
-	binds := make([]Expr, len(lits))
-	for i, t := range lits {
-		if t.Type == TokPlaceholder {
-			if t.ParamIdx >= len(bound) {
-				return nil, fmt.Errorf("sqldb: placeholder ?%d has no bound argument", t.ParamIdx)
-			}
-			binds[i] = bound[t.ParamIdx]
-			continue
-		}
-		ex, err := litExpr(t)
-		if err != nil {
-			return nil, err
-		}
-		binds[i] = ex
-	}
-	return binds, nil
 }
 
 // bindExpr clones an expression template, substituting Param slots with
@@ -362,24 +341,13 @@ func limitValue(e Expr) (int, error) {
 	return int(lit.Val), nil
 }
 
-// bindArity checks that a token stream's placeholder count matches the
-// bound-argument count. Queries without placeholders and without bound
-// arguments (the historical zero-arg form) pass trivially.
-func bindArity(toks []Token, nbound int) error {
-	if nph := countPlaceholders(toks); nph != nbound {
-		return fmt.Errorf("sqldb: statement has %d placeholder(s) but %d bound argument(s)", nph, nbound)
-	}
-	return nil
-}
-
 // compile resolves a token stream to its cached plan template without
-// binding, compiling and installing the template on a miss. It is the
-// shared front half of prepare and of Stmt preparation: both paths
-// therefore share templates (a spliced query shape and its prepared
-// form have identical keys). The returned lits are the current literal
-// slot tokens in slot order; cached reports whether the template came
-// from the cache. Callers count hits/misses — a hit is only a hit once
-// binding has actually succeeded.
+// binding, compiling and installing the template on a miss. Every query
+// compiles through here (compileTokens), so a spliced query shape and
+// its prepared form share one key and one template. The returned lits
+// are the current literal slot tokens in slot order; cached reports
+// whether the template came from the cache. Callers count hits/misses —
+// a hit is only a hit once its literals have converted.
 func (c *planCache) compile(toks []Token, mode byte) (plan *cachedPlan, lits []Token, cached bool, err error) {
 	key, lits := planKey(toks, mode)
 	if plan, ok := c.m.Get(key); ok {
@@ -392,79 +360,6 @@ func (c *planCache) compile(toks []Token, mode byte) (plan *cachedPlan, lits []T
 	// Racing compiles converge on the installed template.
 	plan, _ = c.m.GetOrAdd(key, &cachedPlan{tmpl: tmpl})
 	return plan, lits, false, nil
-}
-
-// parseAndBind parses an original (non-parameterized) token stream and
-// binds its `?` placeholders by ordinal — the shared direct-parse path
-// used by the plan cache's fallback and by View.Query.
-func parseAndBind(toks []Token, bound []Expr) (Statement, error) {
-	if err := bindArity(toks, len(bound)); err != nil {
-		return nil, err
-	}
-	stmt, err := ParseTokens(toks)
-	if err != nil {
-		return nil, err
-	}
-	return bindStatement(stmt, nil, bound)
-}
-
-// prepare resolves a token stream plus bound-argument expressions to an
-// executable statement, through the cache when possible. On a hit the
-// parser is never invoked; on a miss the parameterized stream is parsed
-// once and the template cached. Any template trouble (a shape the
-// binder cannot reconstruct, a parse error against the parameterized
-// stream) falls back to parsing the original tokens directly, so the
-// cache can only ever add performance, never change behavior —
-// including error messages, which come from the original token stream.
-func (c *planCache) prepare(toks []Token, mode byte, bound []Expr) (Statement, *cachedPlan, error) {
-	if err := bindArity(toks, len(bound)); err != nil {
-		return nil, nil, err
-	}
-	plan, lits, cached, cerr := c.compile(toks, mode)
-	if cerr == nil {
-		if binds, err := literalBinds(lits, bound); err == nil {
-			if stmt, err := bindStatement(plan.tmpl, binds, nil); err == nil {
-				if cached {
-					c.hits.Add(1)
-				} else {
-					c.misses.Add(1)
-				}
-				return stmt, plan, nil
-			}
-		}
-		// Bind failure: fall through to a fresh parse of the original
-		// tokens (and leave the entry; a transient literal problem like
-		// an overflowing number must not evict a good template).
-	}
-	c.misses.Add(1)
-	// Report errors against the original stream so messages match the
-	// uncached parser exactly; `?` tokens become Placeholder nodes here,
-	// bound by ordinal.
-	stmt, err := parseAndBind(toks, bound)
-	return stmt, nil, err
-}
-
-// prepareQuery lexes q with the requested tokenizer and resolves it
-// through the cache, with the same error semantics as Parse /
-// ParseAutoSanitized. bound carries the `?`-placeholder argument
-// expressions (nil for the zero-arg form).
-func (c *planCache) prepareQuery(q core.String, auto bool, bound []Expr) (Statement, *cachedPlan, error) {
-	if auto {
-		toks, err := LexAutoSanitize(q)
-		if err != nil {
-			return nil, nil, err
-		}
-		stmt, plan, err := c.prepare(toks, planModeAutoSanitize, bound)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sqldb: auto-sanitized parse: %w", err)
-		}
-		return stmt, plan, nil
-	}
-	toks, err := Lex(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.prepare(toks, planModeStandard, bound)
 }
 
 // pcolsFor returns the cached policy-column set of the plan's tables

@@ -203,7 +203,7 @@ func TestPlanCacheBoundedFlush(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.prepare(toks, planModeStandard, nil); err != nil {
+		if _, err := compileTokens(c, toks, planModeStandard); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,16 +308,15 @@ func TestParameterizeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, lits := planKey(toks, planModeStandard)
-	tmpl, err := ParseTokens(parameterize(toks))
+	c, err := compileTokens(newPlanCache(), toks, planModeStandard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binds, err := literalBinds(lits, nil)
-	if err != nil {
-		t.Fatal(err)
+	if c.direct {
+		t.Fatal("template did not compile; fell back to a direct parse")
 	}
-	bound, err := bindStatement(tmpl, binds, nil)
+	tmpl := c.plan.tmpl
+	bound, err := c.bind(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

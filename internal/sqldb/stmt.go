@@ -1,27 +1,31 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 
 	"resin/internal/core"
 	"resin/internal/sanitize"
 )
 
-// Prepared statements: the query API the paper's string-splicing filter
-// grew into. A Stmt is compiled once — one tokenize, one parse — from
-// query text containing `?` binding placeholders; every execution binds
+// Prepared statements: the one way a query reaches the engine — the
+// paper's string-splicing filter interface grown a binding API. A Stmt
+// is compiled once — one tokenize, one parse — from query text
+// containing `?` or `:name` binding placeholders; every execution binds
 // argument *values* (tracked or plain) into the cached plan template.
 // Bound values never appear in query text, so they cannot reshape the
 // statement: injection through a bound slot is structurally impossible,
 // and the §5.3 injection assertions skip bound slots by construction
-// (they inspect the text, and the text holds only `?`). Policies on
-// bound values flow into shadow policy columns exactly as literal
-// policies do (Figure 4), because binding produces the same literal
-// expressions the parser would have.
+// (they inspect the text, and the text holds only placeholders).
+// Policies on bound values flow into shadow policy columns exactly as
+// literal policies do (Figure 4), because binding produces the same
+// literal expressions the parser would have.
 //
-// Repeated executions run at 0 tokenizes and 0 parses per operation —
-// TokenizeCount and ParseCount pin this in tests and in
-// BenchmarkSQLPreparedLookup.
+// A text query (Query, Exec, MustExec on DB, Tx or View) is a one-shot
+// Stmt: compiled against the same plan cache and executed by the same
+// code, so a warm query shape runs at 1 tokenize and 0 parses, and a
+// Stmt prepared once runs at 0 and 0 — TokenizeCount and ParseCount pin
+// both in tests and in BenchmarkSQLPreparedLookup.
 
 // argExpr converts one bound argument into the literal expression the
 // parser would have produced for it: tracked values keep their policy
@@ -32,8 +36,6 @@ func argExpr(a any) (Expr, error) {
 	switch v := a.(type) {
 	case nil:
 		return &NullLit{}, nil
-	case NamedArg:
-		return nil, fmt.Errorf("sqldb: named argument %q outside a prepared-statement execution", v.Name)
 	case core.String:
 		return &StringLit{Val: v}, nil
 	case core.Int:
@@ -105,26 +107,118 @@ type NamedArg struct {
 // Named returns a NamedArg binding value to the `:name` placeholder.
 func Named(name string, value any) NamedArg { return NamedArg{Name: name, Value: value} }
 
+// surface implements the query family — Query, QueryRaw, Exec,
+// MustExec, Prepare, PrepareRaw — once. DB and Tx embed it, View
+// delegates to it, and a Stmt keeps the surface it was prepared on,
+// which fixes the engine statements run on: the database's, or the
+// speculative engine of a transaction or an integrity-assertion view.
+type surface struct {
+	db   *DB
+	tx   *Tx     // set on a transaction: its lock and ErrTxDone guard every execution
+	spec *Engine // speculative engine (Tx, View); nil runs on db.Engine()
+}
+
+// Query executes one statement built as a tracked string, as a one-shot
+// prepared statement. args bind its placeholders — positionally for
+// `?`, or through Named values for `:name`; tracked values (core.String,
+// core.Int) keep their policies, plain Go values bind untainted, and no
+// argument is ever spliced into the query text.
+func (q *surface) Query(text core.String, args ...any) (*Result, error) {
+	return q.compileStmt(text, true).Query(args...)
+}
+
+// QueryRaw is Query for untracked text.
+func (q *surface) QueryRaw(text string, args ...any) (*Result, error) {
+	return q.Query(core.NewString(text), args...)
+}
+
+// Exec runs a statement and returns only the number of rows affected —
+// the right-sized result for INSERT/UPDATE/DELETE callers.
+func (q *surface) Exec(text core.String, args ...any) (int, error) {
+	res, err := q.Query(text, args...)
+	if err != nil {
+		return 0, err
+	}
+	return res.Affected, nil
+}
+
+// MustExec runs a query and panics on error; used by setup code for
+// schema and seed statements.
+func (q *surface) MustExec(text string) *Result {
+	res, err := q.QueryRaw(text)
+	if err != nil {
+		panic(fmt.Sprintf("sqldb: %s: %v", text, err))
+	}
+	return res
+}
+
+// Prepare compiles query text — with binding placeholders — into a Stmt
+// executing where q does; a transaction's Stmt becomes unusable once the
+// transaction ends (ErrTxDone). The text is tokenized and parsed exactly
+// once; see the comment at the top of this file for the binding and
+// assertion semantics.
+func (q *surface) Prepare(text core.String) (*Stmt, error) {
+	s := q.compileStmt(text, false)
+	// A standard-lexer failure on untrusted text waits for execution:
+	// the auto-sanitizing tokenizer, if on by then, may accept the text
+	// as inert values.
+	var lexErr *LexError
+	if s.err != nil && !(s.textUntrusted && errors.As(s.err, &lexErr)) {
+		return nil, s.err
+	}
+	return s, nil
+}
+
+// PrepareRaw is Prepare for untracked query text.
+func (q *surface) PrepareRaw(text string) (*Stmt, error) { return q.Prepare(core.NewString(text)) }
+
+// compileStmt compiles text into a Stmt on q. The text is tokenized
+// here and never at execution, except when the auto-sanitizing
+// tokenizer must re-lex a prepared statement's untrusted text. A
+// statement whose text does not compile still comes back, carrying the
+// error for execution to report after the injection assertions, as a
+// text query always has.
+//
+// A one-shot statement reads the filter flags once, here, and lexes
+// only in the mode they select: under auto-sanitize with tracking on,
+// the auto-sanitizing tokenizer, plus the standard lex the strategy-2
+// verdict needs when that assertion is on.
+func (q *surface) compileStmt(text core.String, oneShot bool) *Stmt {
+	s := &Stmt{on: *q, query: text, oneShot: oneShot}
+	_, _, s.textUntrusted = text.FindPolicy(sanitize.IsUntrusted)
+	s.s1Start, s.s1End, s.s1Found = sanitize.UnsanitizedSQL(text)
+	if oneShot {
+		s.flags = q.db.filter.flags()
+		s.autoLexed = s.flags.auto && q.db.rt.Tracking()
+	}
+	plans := q.db.filter.planner()
+	if !s.autoLexed || s.flags.s2 {
+		toks, err := Lex(text)
+		switch {
+		case err != nil:
+			s.s2Err, s.err = err, err
+		case !s.autoLexed:
+			s.compiled, s.err = compileTokens(plans, toks, planModeStandard)
+		}
+		if err == nil && s.textUntrusted {
+			s.s2Err = checkTaintedStructureTokens(text, toks)
+		}
+	}
+	if s.autoLexed {
+		s.compiled, s.err = compileAuto(plans, text)
+	}
+	return s
+}
+
 // Stmt is a prepared statement: query text compiled once, executed many
-// times with bound arguments. Create one with DB.Prepare or Tx.Prepare;
-// a Stmt is safe for concurrent use (its compiled state is immutable;
+// times with bound arguments. Create one with Prepare on a DB or Tx; a
+// Stmt is safe for concurrent use (its compiled state is immutable;
 // per-execution state lives on the stack).
 type Stmt struct {
-	db *DB
-	tx *Tx // non-nil when prepared inside a transaction
-
-	query   core.String
-	plan    *cachedPlan // shared template via the filter's plan cache
-	fixed   []Expr      // per-slot inline-literal expressions; nil at placeholder slots
-	phSlots []phSlot    // placeholder slot index → binding ordinal, fixed at Prepare
-	names   []string    // binding ordinal → placeholder name ("" for positional)
-	nargs   int         // number of distinct binding ordinals
-
-	// direct is the fallback when the parameterized template could not
-	// be compiled (e.g. a shape the template parser rejects): the
-	// original token stream parsed as-is, with Placeholder nodes bound
-	// per execution. Still 0 parses per op.
-	direct Statement
+	on    surface
+	query core.String
+	compiled
+	err error // compile error, reported by execution
 
 	// Assertion verdicts precomputed against the immutable query text,
 	// so executions consult flags without re-tokenizing: the strategy-1
@@ -132,87 +226,85 @@ type Stmt struct {
 	s1Start, s1End int
 	s1Found        bool
 	s2Err          error
-	// textUntrusted notes untrusted bytes in the prepared text itself;
-	// with auto-sanitize enabled such text must re-lex per execution
-	// under the taint-aware tokenizer (the slow, faithful path).
+	// textUntrusted notes untrusted bytes in the text itself; with
+	// auto-sanitize enabled such text executes under the taint-aware
+	// tokenizer.
 	textUntrusted bool
-	// lexErr defers a standard-lexer failure on untrusted-tainted text
-	// to execution time: under auto-sanitize the taint-aware tokenizer
-	// may accept what the standard lexer rejects (e.g. an unbalanced
-	// untrusted quote), so the verdict belongs to the mode active at
-	// execution, exactly as on the text path.
-	lexErr error
+
+	// oneShot marks a text query's statement, compiled for a single
+	// execution under the filter flags read at compile time (flags);
+	// autoLexed means those flags selected the auto-sanitizing
+	// tokenizer, whose plan the statement then holds.
+	oneShot   bool
+	autoLexed bool
+	flags     filterFlags
 }
 
-// prepareStmt compiles query text into a Stmt against db's plan cache.
-// The text is tokenized exactly once here; executions tokenize zero
-// times (TokenizeCount pins both).
-func prepareStmt(db *DB, tx *Tx, q core.String) (*Stmt, error) {
-	s := &Stmt{db: db, tx: tx, query: q}
-	_, _, s.textUntrusted = q.FindPolicy(sanitize.IsUntrusted)
-	s.s1Start, s.s1End, s.s1Found = sanitize.UnsanitizedSQL(q)
+// compiled is a statement's plan in one tokenizer mode: the shared
+// template, its inline literals pre-converted to expressions, and the
+// slots bound arguments fill, so executions do no token work at all.
+type compiled struct {
+	plan    *cachedPlan // shared template via the filter's plan cache
+	fixed   []Expr      // per-slot inline-literal expressions; nil at placeholder slots
+	phSlots []phSlot    // placeholder slot index → binding ordinal
+	names   []string    // binding ordinal → placeholder name; nil when all are positional
+	nargs   int         // number of distinct binding ordinals
 
-	toks, err := Lex(q)
-	if err != nil {
-		if !s.textUntrusted {
-			return nil, err
-		}
-		// Untrusted bytes broke the standard lexer; the auto-sanitizing
-		// tokenizer may still accept this text as inert values, so keep
-		// the statement and let each execution's active mode decide.
-		s.lexErr = err
-		s.s2Err = err
-		return s, nil
-	}
-	s.nargs = countPlaceholders(toks)
-	s.names = placeholderNames(toks)
-	s.s2Err = checkTaintedStructureTokens(q, toks)
-
-	plans := db.filter.planner()
-	plan, cerr := s.compileTemplate(plans, toks)
-	if cerr != nil {
-		// Template trouble: parse the original stream once and keep the
-		// statement with its Placeholder nodes for per-exec binding.
-		// Errors come from the original stream, matching Parse exactly.
-		direct, derr := ParseTokens(toks)
-		if derr != nil {
-			return nil, derr
-		}
-		s.direct = direct
-		s.plan = &cachedPlan{tmpl: direct}
-	} else {
-		s.plan = plan
-	}
-	return s, nil
+	// direct marks the fallback for a template that would not compile
+	// (a shape the template parser rejects): plan holds the original
+	// token stream parsed as-is, its Placeholder nodes bound per
+	// execution. Still 0 parses per op.
+	direct bool
 }
 
-// compileTemplate resolves the prepared text's plan template,
-// pre-converts every inline-literal slot to its expression, and records
-// the placeholder slot positions, so executions do no token work at
-// all.
-func (s *Stmt) compileTemplate(plans *planCache, toks []Token) (*cachedPlan, error) {
-	plan, lits, cached, err := plans.compile(toks, planModeStandard)
-	if err != nil {
-		return nil, err
+// compileTokens resolves a token stream to its plan through the cache.
+// Any template trouble falls back to parsing the original tokens, so the
+// cache can only ever add performance, never change behavior — error
+// messages included, which come from the original token stream.
+func compileTokens(plans *planCache, toks []Token, mode byte) (compiled, error) {
+	c := compiled{nargs: countPlaceholders(toks), names: placeholderNames(toks)}
+	plan, lits, cached, err := plans.compile(toks, mode)
+	if err == nil {
+		c.plan, c.fixed = plan, make([]Expr, len(lits))
+		for i, t := range lits {
+			if t.Type == TokPlaceholder {
+				c.phSlots = append(c.phSlots, phSlot{slot: i, ord: t.ParamIdx})
+				continue
+			}
+			if c.fixed[i], err = litExpr(t); err != nil {
+				break // a literal the template cannot carry, e.g. an overflowing number
+			}
+		}
 	}
-	s.fixed = make([]Expr, len(lits))
-	for i, t := range lits {
-		if t.Type == TokPlaceholder {
-			s.phSlots = append(s.phSlots, phSlot{slot: i, ord: t.ParamIdx})
-			continue
+	if err != nil {
+		plans.misses.Add(1)
+		tmpl, perr := ParseTokens(toks)
+		if perr != nil {
+			return compiled{}, perr
 		}
-		ex, lerr := litExpr(t)
-		if lerr != nil {
-			return nil, lerr
-		}
-		s.fixed[i] = ex
+		return compiled{plan: &cachedPlan{tmpl: tmpl}, names: c.names, nargs: c.nargs, direct: true}, nil
 	}
 	if cached {
 		plans.hits.Add(1)
 	} else {
 		plans.misses.Add(1)
 	}
-	return plan, nil
+	return c, nil
+}
+
+// compileAuto lexes text with the auto-sanitizing tokenizer and compiles
+// it under planModeAutoSanitize, so its plans never mix with the
+// standard tokenizer's.
+func compileAuto(plans *planCache, text core.String) (compiled, error) {
+	toks, err := LexAutoSanitize(text)
+	if err != nil {
+		return compiled{}, err
+	}
+	c, err := compileTokens(plans, toks, planModeAutoSanitize)
+	if err != nil {
+		return compiled{}, fmt.Errorf("sqldb: auto-sanitized parse: %w", err)
+	}
+	return c, nil
 }
 
 // NumArgs returns the number of `?` placeholders the statement binds.
@@ -221,31 +313,24 @@ func (s *Stmt) NumArgs() int { return s.nargs }
 // Text returns the prepared query text.
 func (s *Stmt) Text() core.String { return s.query }
 
-// bind instantiates the statement with the given bound-argument
-// expressions. No tokenizer and no parser run here.
-func (s *Stmt) bind(bound []Expr) (Statement, error) {
-	if s.lexErr != nil {
-		// Deferred standard-lexer failure: without the auto-sanitizing
-		// mode (which routes execution through the text path before
-		// bind is reached), the text is as unexecutable as it was on
-		// the text path.
-		return nil, s.lexErr
+// bind instantiates the plan with the given bound-argument expressions,
+// by binding ordinal. No tokenizer and no parser run here.
+func (c *compiled) bind(bound []Expr) (Statement, error) {
+	if len(bound) != c.nargs {
+		return nil, fmt.Errorf("sqldb: statement has %d placeholder(s) but %d bound argument(s)", c.nargs, len(bound))
 	}
-	if len(bound) != s.nargs {
-		return nil, fmt.Errorf("sqldb: statement has %d placeholder(s) but %d bound argument(s)", s.nargs, len(bound))
+	if c.direct {
+		return bindStatement(c.plan.tmpl, nil, bound)
 	}
-	if s.direct != nil {
-		return bindStatement(s.direct, nil, bound)
-	}
-	binds := s.fixed
-	if s.nargs > 0 {
-		binds = make([]Expr, len(s.fixed))
-		copy(binds, s.fixed)
-		for _, m := range s.phSlots {
+	binds := c.fixed
+	if c.nargs > 0 {
+		binds = make([]Expr, len(c.fixed))
+		copy(binds, c.fixed)
+		for _, m := range c.phSlots {
 			binds[m.slot] = bound[m.ord]
 		}
 	}
-	return bindStatement(s.plan.tmpl, binds, nil)
+	return bindStatement(c.plan.tmpl, binds, nil)
 }
 
 // bindArgs converts the caller's argument list to per-ordinal bound
@@ -253,7 +338,7 @@ func (s *Stmt) bind(bound []Expr) (Statement, error) {
 // `:name`, in any order, with repeats of a name sharing one ordinal.
 // Mixing the two styles in one call is an error, as is an unknown,
 // missing, or duplicate name.
-func (s *Stmt) bindArgs(args []any) ([]Expr, error) {
+func (c *compiled) bindArgs(args []any) ([]Expr, error) {
 	named := 0
 	for _, a := range args {
 		if _, ok := a.(NamedArg); ok {
@@ -266,12 +351,12 @@ func (s *Stmt) bindArgs(args []any) ([]Expr, error) {
 	if named != len(args) {
 		return nil, fmt.Errorf("sqldb: cannot mix named and positional arguments in one execution")
 	}
-	bound := make([]Expr, s.nargs)
-	seen := make([]bool, s.nargs)
+	bound := make([]Expr, c.nargs)
+	seen := make([]bool, c.nargs)
 	for _, a := range args {
 		na := a.(NamedArg)
 		ord := -1
-		for i, n := range s.names {
+		for i, n := range c.names {
 			if n != "" && n == na.Name {
 				ord = i
 				break
@@ -291,7 +376,7 @@ func (s *Stmt) bindArgs(args []any) ([]Expr, error) {
 	}
 	for i, ok := range seen {
 		if !ok {
-			return nil, fmt.Errorf("sqldb: placeholder %q not bound", s.names[i])
+			return nil, fmt.Errorf("sqldb: placeholder %q not bound", c.names[i])
 		}
 	}
 	return bound, nil
@@ -302,22 +387,18 @@ func (s *Stmt) bindArgs(args []any) ([]Expr, error) {
 // was deferred (untrusted text needing the auto-sanitizing lexer) report
 // false: their shape is unknown until execution.
 func (s *Stmt) ReadOnly() bool {
-	if s.lexErr != nil {
+	if s.err != nil {
 		return false
 	}
-	tmpl := s.direct
-	if tmpl == nil && s.plan != nil {
-		tmpl = s.plan.tmpl
-	}
-	_, ok := tmpl.(*Select)
+	_, ok := s.plan.tmpl.(*Select)
 	return ok
 }
 
-// preparedExec is the value the prepared-statement API routes through
-// the SQL channel in place of query text: the compiled statement plus
-// its bound arguments, already converted to literal expressions. The
-// RESIN filter recognizes it and executes the bound plan — arguments
-// travel as values, never as text.
+// preparedExec is the value a statement execution routes through the
+// SQL channel alongside its query text: the compiled statement plus its
+// bound arguments, already converted to literal expressions. The RESIN
+// filter executes the bound plan — arguments travel as values, never as
+// text.
 type preparedExec struct {
 	stmt  *Stmt
 	bound []Expr
@@ -329,12 +410,12 @@ type preparedExec struct {
 func (s *Stmt) Query(args ...any) (*Result, error) {
 	bound, err := s.bindArgs(args)
 	if err != nil {
+		if s.err != nil {
+			return nil, s.err // the text did not compile; that is why nothing binds
+		}
 		return nil, err
 	}
-	if s.tx != nil {
-		return s.tx.queryPrepared(s, bound)
-	}
-	return s.db.queryPrepared(s, bound)
+	return s.run(bound)
 }
 
 // Exec executes the prepared statement and returns the number of rows
@@ -347,17 +428,6 @@ func (s *Stmt) Exec(args ...any) (int, error) {
 	return res.Affected, nil
 }
 
-// Prepare compiles query text — with `?` binding placeholders — into a
-// Stmt executing against this database. The text is tokenized and
-// parsed exactly once; see the package comment in this file for the
-// binding and assertion semantics.
-func (db *DB) Prepare(q core.String) (*Stmt, error) {
-	return prepareStmt(db, nil, q)
-}
-
-// PrepareRaw is Prepare for untracked query text.
-func (db *DB) PrepareRaw(q string) (*Stmt, error) { return db.Prepare(core.NewString(q)) }
-
 // MustPrepare compiles untracked query text and panics on error; used
 // by application startup code preparing its hot statements.
 func (db *DB) MustPrepare(q string) *Stmt {
@@ -368,11 +438,23 @@ func (db *DB) MustPrepare(q string) *Stmt {
 	return st
 }
 
-// queryPrepared executes a prepared statement against the database,
-// through the channel's filter chain when tracking is enabled.
-func (db *DB) queryPrepared(s *Stmt, bound []Expr) (*Result, error) {
-	engine := db.Engine()
-	out, err := db.channel.Call([]any{s.query, engine, &preparedExec{stmt: s, bound: bound}})
+// run executes the statement with its bound arguments where it was
+// prepared: through the SQL channel's filter chain, which consumes the
+// call while tracking is on, and otherwise directly on the engine
+// without policy persistence.
+func (s *Stmt) run(bound []Expr) (*Result, error) {
+	q := &s.on
+	if q.tx != nil {
+		if err := q.tx.lock(); err != nil {
+			return nil, err
+		}
+		defer q.tx.mu.Unlock()
+	}
+	engine := q.spec
+	if engine == nil {
+		engine = q.db.Engine()
+	}
+	out, err := q.db.channel.Call([]any{s.query, engine, &preparedExec{stmt: s, bound: bound}})
 	if err != nil {
 		return nil, err
 	}
@@ -381,51 +463,38 @@ func (db *DB) queryPrepared(s *Stmt, bound []Expr) (*Result, error) {
 			return res, nil
 		}
 	}
-	// Tracking disabled (or no filter consumed the call): bind and
-	// execute raw — still 0 tokenizes / 0 parses.
-	return execPreparedRaw(s, bound, engine)
+	return s.execute(q.db.filter.planner(), engine, bound, false, false)
 }
 
-// execPreparedRaw binds and executes without policy persistence (the
-// untracked path).
-func execPreparedRaw(s *Stmt, bound []Expr, engine *Engine) (*Result, error) {
-	stmt, err := s.bind(bound)
+// execute binds bound into the statement's plan and runs it on engine.
+// A tracked execution is the filter's: the Figure 4 rewrite persists
+// policies, and the result carries them re-attached. auto asks for the
+// auto-sanitizing tokenizer: a statement lexed in the standard mode
+// whose text carries untrusted bytes then compiles again under it (the
+// slow, faithful path; prepared text is normally programmer-authored
+// and untainted).
+func (s *Stmt) execute(plans *planCache, engine *Engine, bound []Expr, auto, tracked bool) (*Result, error) {
+	c := &s.compiled
+	switch {
+	case auto && s.textUntrusted && !s.autoLexed:
+		ac, err := compileAuto(plans, s.query)
+		if err != nil {
+			return nil, err
+		}
+		c = &ac
+	case s.err != nil:
+		return nil, s.err
+	}
+	stmt, err := c.bind(bound)
 	if err != nil {
 		return nil, err
+	}
+	if tracked {
+		return plans.execute(c.plan, engine, stmt)
 	}
 	raw, affected, err := engine.ExecuteRaw(stmt)
 	if err != nil {
 		return nil, err
 	}
 	return fromRaw(raw, affected, false, "")
-}
-
-// Prepare compiles query text into a Stmt executing against this
-// transaction's speculative state. The Stmt becomes unusable once the
-// transaction commits or rolls back (ErrTxDone).
-func (tx *Tx) Prepare(q core.String) (*Stmt, error) {
-	return prepareStmt(tx.db, tx, q)
-}
-
-// PrepareRaw is Prepare for untracked query text.
-func (tx *Tx) PrepareRaw(q string) (*Stmt, error) { return tx.Prepare(core.NewString(q)) }
-
-// queryPrepared executes a prepared statement against the transaction's
-// speculative engine.
-func (tx *Tx) queryPrepared(s *Stmt, bound []Expr) (*Result, error) {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	out, err := tx.db.channel.Call([]any{s.query, tx.spec, &preparedExec{stmt: s, bound: bound}})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 1 {
-		if res, ok := out[0].(*Result); ok {
-			return res, nil
-		}
-	}
-	return execPreparedRaw(s, bound, tx.spec)
 }

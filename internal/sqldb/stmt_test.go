@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -125,7 +127,7 @@ func TestBindArity(t *testing.T) {
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	view := &View{engine: db.Engine()}
+	view := &View{on: surface{db: db, spec: db.Engine()}}
 	if _, err := view.QueryRaw("SELECT a FROM t WHERE a = ?"); err == nil {
 		t.Error("View.Query accepted a placeholder with no argument")
 	}
@@ -454,7 +456,7 @@ func TestTxViewMustExecParity(t *testing.T) {
 		t.Fatalf("DB.Exec = %d, %v", n, err)
 	}
 
-	view := &View{engine: db.Engine()}
+	view := &View{on: surface{db: db, spec: db.Engine()}}
 	view.MustExec("SELECT a FROM t")
 	func() {
 		defer func() {
@@ -554,5 +556,147 @@ func TestInjectionErrorClampsBounds(t *testing.T) {
 		if !strings.Contains(msg, "SQL injection assertion") {
 			t.Errorf("case %d: malformed message %q", i, msg)
 		}
+	}
+}
+
+// TestOneShotQueryCounts pins the tokenizer and parser work of a warm
+// one-shot text query on every query surface, for each combination of
+// the strategy-2 and auto-sanitize assertions over trusted and untrusted
+// text. The pins are the counts of the text path before text queries
+// became one-shot prepared statements: one lex and no parse, except that
+// strategy 2 under auto-sanitize judges a standard lex and executes an
+// auto-sanitizing one. (View queries then re-parsed on every call; they
+// now share the plan cache, so they pin the same counts.) In particular
+// a one-shot query under auto-sanitize lexes only in that mode — not a
+// standard lex at compile time followed by an auto lex at execution.
+func TestOneShotQueryCounts(t *testing.T) {
+	for _, surf := range []string{"DB", "Tx", "View"} {
+		for _, s2 := range []bool{false, true} {
+			for _, auto := range []bool{false, true} {
+				for _, untrusted := range []bool{false, true} {
+					name := fmt.Sprintf("%s/s2=%v/auto=%v/untrusted=%v", surf, s2, auto, untrusted)
+					t.Run(name, func(t *testing.T) {
+						db := openDB(t)
+						db.MustExec("CREATE TABLE t (a TEXT)")
+						db.MustExec("INSERT INTO t (a) VALUES ('x')")
+						db.Filter().RejectTaintedStructure(s2)
+						db.Filter().AutoSanitizeUntrusted(auto)
+						val := core.NewString("x")
+						if untrusted {
+							val = sanitize.Taint(val, "form:a")
+						}
+						q := core.Concat(core.NewString("SELECT a FROM t WHERE a = '"), val, core.NewString("'"))
+						var query func(core.String, ...any) (*Result, error)
+						switch surf {
+						case "DB":
+							query = db.Query
+						case "Tx":
+							tx := db.Begin()
+							defer tx.Rollback() //nolint:errcheck
+							query = tx.Query
+						case "View":
+							query = (&View{on: surface{db: db, spec: db.Engine()}}).Query
+						}
+						if _, err := query(q); err != nil { // warm the plan
+							t.Fatal(err)
+						}
+						lex0, parse0 := TokenizeCount(), ParseCount()
+						res, err := query(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Len() != 1 {
+							t.Fatalf("got %d rows, want 1", res.Len())
+						}
+						wantLex := uint64(1)
+						if s2 && auto {
+							wantLex = 2
+						}
+						if got := TokenizeCount() - lex0; got != wantLex {
+							t.Errorf("tokenizes = %d, want %d", got, wantLex)
+						}
+						if got := ParseCount() - parse0; got != 0 {
+							t.Errorf("parses = %d, want 0", got)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestAssertionViewQueryThroughFilter: a View query inside an integrity
+// assertion runs through the SQL channel's filter and plan cache like
+// any other query — the second commit's assertion hits the cache, and a
+// tainted statement structure is refused by the strategy-2 assertion.
+func TestAssertionViewQueryThroughFilter(t *testing.T) {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE acct (id INT, bal INT)")
+	db.MustExec("INSERT INTO acct (id, bal) VALUES (1, 10)")
+	var query core.String
+	db.AddIntegrityAssertion("read-balances", func(v *View) error {
+		_, err := v.Query(query)
+		return err
+	})
+	query = core.NewString("SELECT bal FROM acct WHERE id = 1")
+	commit := func() error {
+		tx := db.Begin()
+		tx.MustExec("UPDATE acct SET bal = 20 WHERE id = 1")
+		return tx.Commit()
+	}
+	if err := commit(); err != nil {
+		t.Fatal(err)
+	}
+	parse0 := ParseCount()
+	if err := commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ParseCount() - parse0; got != 0 {
+		t.Errorf("second commit parsed %d times; the assertion's query missed the plan cache", got)
+	}
+
+	db.Filter().RejectTaintedStructure(true)
+	query = core.Concat(core.NewString("SELECT bal FROM acct WHERE id = 1 "),
+		sanitize.Taint(core.NewString("OR 1 = 1"), "form:id"))
+	err := commit()
+	var inj *InjectionError
+	if !errors.As(err, &inj) {
+		t.Fatalf("tainted assertion query: got %v, want an *InjectionError", err)
+	}
+	if inj.Strategy != "tainted-structure" {
+		t.Errorf("strategy = %q, want tainted-structure", inj.Strategy)
+	}
+}
+
+// TestTextQueryBindsNamed: a text query is a one-shot prepared
+// statement, so `:name` placeholders bind Named arguments on DB.Query
+// and Tx.Query as they do on Stmt.Query.
+func TestTextQueryBindsNamed(t *testing.T) {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE kv (k TEXT, v INT)")
+	key := sanitize.Taint(core.NewString("one"), "form:k")
+	if _, err := db.Query(core.NewString("INSERT INTO kv (k, v) VALUES (:k, :v)"), Named("v", 1), Named("k", key)); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if _, err := tx.Query(core.NewString("INSERT INTO kv (k, v) VALUES (:k, :v)"), Named("k", "two"), Named("v", 2)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tx.Query(core.NewString("SELECT k FROM kv WHERE v = :v OR k = :k OR v = :v ORDER BY v"), Named("k", "two"), Named("v", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 2 || res.Get(0, "k").Str.Raw() != "one" || res.Get(1, "k").Str.Raw() != "two" {
+		t.Fatalf("Tx.Query named read: %d rows", res.Len())
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	res, err = db.Query(core.NewString("SELECT k FROM kv WHERE v = :v"), Named("v", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || !res.Get(0, "k").Str.IsTainted() {
+		t.Fatalf("DB.Query named read lost the row or its policy: %d rows", res.Len())
 	}
 }

@@ -66,8 +66,8 @@ const (
 	TokParam
 	// TokPlaceholder is a binding placeholder in query text (the
 	// prepared-statement API): `?`, or the named form `:name`. It marks a
-	// slot that an argument of Stmt.Query / Stmt.Exec (or the variadic
-	// DB.Query form) is bound into as a value, never as text. ParamIdx
+	// slot that an argument of Stmt.Query / Stmt.Exec (or of a text
+	// query's args) is bound into as a value, never as text. ParamIdx
 	// carries the placeholder's zero-based binding ordinal: text order
 	// for `?`, distinct-name first-occurrence order for `:name` (every
 	// repetition of one name shares one ordinal, so one argument feeds
@@ -168,6 +168,11 @@ func (e *LexError) Error() string {
 	return fmt.Sprintf("sqldb: lex error at offset %d: %s", e.Offset, e.Msg)
 }
 
+// tokenCapHint sizes a token slice for src: dialect text averages more
+// than four bytes per token, so a query usually lexes into one
+// allocation instead of a doubling series.
+func tokenCapHint(src string) int { return len(src)/4 + 2 }
+
 // Lex tokenizes a tracked SQL query. String literals use single quotes
 // with ” and \\ escapes (matching sanitize.SQLQuote); -- starts a line
 // comment. The returned tokens carry source ranges into q and decoded
@@ -175,7 +180,7 @@ func (e *LexError) Error() string {
 func Lex(q core.String) ([]Token, error) {
 	lexCalls.Add(1)
 	src := q.Raw()
-	var toks []Token
+	toks := make([]Token, 0, tokenCapHint(src))
 	i := 0
 	for {
 		tok, next, err := scanToken(q, src, i, len(src))

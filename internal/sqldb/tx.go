@@ -34,44 +34,25 @@ import (
 // error vetoes the commit.
 type IntegrityAssertion func(view *View) error
 
-// View is the read-only query interface integrity assertions get.
+// View is the read-only query interface integrity assertions get. Its
+// queries run on the transaction's speculative state through the same
+// channel, filters and plan cache as every other query; it never takes
+// the database's locks, which Commit holds while assertions run.
 type View struct {
-	engine *Engine
+	on surface
 }
 
 // Query runs a SELECT (or any statement — assertions should read only)
 // against the speculative state, with policies attached as usual. args
-// bind `?` placeholders by position, as in DB.Query.
-func (v *View) Query(q core.String, args ...any) (*Result, error) {
-	bound, err := argExprs(args)
-	if err != nil {
-		return nil, err
-	}
-	toks, err := Lex(q)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err := parseAndBind(toks, bound)
-	if err != nil {
-		return nil, err
-	}
-	return executeWithPolicies(v.engine, stmt)
-}
+// bind placeholders as in DB.Query.
+func (v *View) Query(q core.String, args ...any) (*Result, error) { return v.on.Query(q, args...) }
 
 // QueryRaw is Query for untracked text.
-func (v *View) QueryRaw(q string, args ...any) (*Result, error) {
-	return v.Query(core.NewString(q), args...)
-}
+func (v *View) QueryRaw(q string, args ...any) (*Result, error) { return v.on.QueryRaw(q, args...) }
 
 // MustExec runs a query against the speculative state and panics on
 // error — parity with DB.MustExec for assertion and test setup code.
-func (v *View) MustExec(q string) *Result {
-	res, err := v.QueryRaw(q)
-	if err != nil {
-		panic(fmt.Sprintf("sqldb: %s: %v", q, err))
-	}
-	return res
-}
+func (v *View) MustExec(q string) *Result { return v.on.MustExec(q) }
 
 // Clone deep-copies the engine's current state: the rows visible at the
 // commit frontier, with their stable ids, into fresh single-version
@@ -138,10 +119,9 @@ func (e *IntegrityError) Unwrap() error { return e.Err }
 
 // Tx is one open transaction.
 type Tx struct {
-	db   *DB
-	mu   sync.Mutex
-	spec *Engine
-	done bool
+	surface // runs on spec, the speculative engine
+	mu      sync.Mutex
+	done    bool
 }
 
 // AddIntegrityAssertion registers a named assertion checked before every
@@ -187,66 +167,21 @@ func (db *DB) Begin() *Tx {
 		beginTables: begin,
 	}
 	spec.gen.Store(gen)
-	return &Tx{db: db, spec: spec}
+	tx := &Tx{}
+	tx.surface = surface{db: db, tx: tx, spec: spec}
+	return tx
 }
 
-// Query executes a statement inside the transaction: the speculative
-// state absorbs writes and serves reads, through the same filter chain
-// (injection assertions and policy persistence included). args bind
-// `?` placeholders by position, as in DB.Query.
-func (tx *Tx) Query(q core.String, args ...any) (*Result, error) {
-	bound, err := argExprs(args)
-	if err != nil {
-		return nil, err
-	}
+// lock takes the transaction's lock for one operation — a statement
+// execution, Commit or Rollback — and fails with ErrTxDone, not holding
+// the lock, once the transaction has ended.
+func (tx *Tx) lock() error {
 	tx.mu.Lock()
-	defer tx.mu.Unlock()
 	if tx.done {
-		return nil, ErrTxDone
+		tx.mu.Unlock()
+		return ErrTxDone
 	}
-	out, err := tx.db.channel.Call(queryCallArgs(q, tx.spec, bound))
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 1 {
-		if res, ok := out[0].(*Result); ok {
-			return res, nil
-		}
-	}
-	stmt, _, err := tx.db.filter.planner().prepareQuery(q, false, bound)
-	if err != nil {
-		return nil, err
-	}
-	raw, affected, err := tx.spec.ExecuteRaw(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return fromRaw(raw, affected, false, "")
-}
-
-// QueryRaw is Query for untracked text.
-func (tx *Tx) QueryRaw(q string, args ...any) (*Result, error) {
-	return tx.Query(core.NewString(q), args...)
-}
-
-// Exec runs a statement inside the transaction and returns only the
-// number of rows affected — parity with DB.Exec.
-func (tx *Tx) Exec(q core.String, args ...any) (int, error) {
-	res, err := tx.Query(q, args...)
-	if err != nil {
-		return 0, err
-	}
-	return res.Affected, nil
-}
-
-// MustExec runs a query inside the transaction and panics on error —
-// parity with DB.MustExec for schema and seed statements in tests.
-func (tx *Tx) MustExec(q string) *Result {
-	res, err := tx.QueryRaw(q)
-	if err != nil {
-		panic(fmt.Sprintf("sqldb: %s: %v", q, err))
-	}
-	return res
+	return nil
 }
 
 // finish ends the transaction exactly once: mark it done and release
@@ -266,15 +201,15 @@ func (tx *Tx) finish() {
 // appended to the write-ahead log as one begin..commit group, and only
 // then applied in memory as a single commit version.
 func (tx *Tx) Commit() error {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done {
-		return ErrTxDone
+	if err := tx.lock(); err != nil {
+		return err
 	}
+	defer tx.mu.Unlock()
 	tx.db.txMu.Lock()
 	defer tx.db.txMu.Unlock()
+	view := &View{on: surface{db: tx.db, spec: tx.spec}}
 	for _, a := range tx.db.integrity {
-		if err := a.fn(&View{engine: tx.spec}); err != nil {
+		if err := a.fn(view); err != nil {
 			tx.finish()
 			return &IntegrityError{Assertion: a.name, Err: err}
 		}
@@ -497,11 +432,10 @@ func lowerKey(name string) string { return strings.ToLower(name) }
 
 // Rollback abandons the transaction.
 func (tx *Tx) Rollback() error {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done {
-		return ErrTxDone
+	if err := tx.lock(); err != nil {
+		return err
 	}
+	defer tx.mu.Unlock()
 	tx.finish()
 	return nil
 }

@@ -242,7 +242,9 @@ func (s *session) run() {
 		}
 		ok := s.reply(resp)
 		s.busy.Store(false)
-		if !ok {
+		// A Shutdown that saw this session busy left it open; it closes
+		// itself here, now that the request is done.
+		if !ok || s.srv.draining.Load() {
 			return
 		}
 	}
@@ -413,13 +415,11 @@ func (s *session) execute(db *sqldb.DB, q core.String, args []any) (*sqldb.Resul
 // prepare compiles query text against the session's transaction (when
 // one is open) or the database, enforcing the replica read-only rule.
 func (s *session) prepare(db *sqldb.DB, q core.String) (*sqldb.Stmt, error) {
-	var st *sqldb.Stmt
-	var err error
+	prepare := db.Prepare
 	if s.tx != nil {
-		st, err = s.tx.Prepare(q)
-	} else {
-		st, err = db.Prepare(q)
+		prepare = s.tx.Prepare
 	}
+	st, err := prepare(q)
 	if err != nil {
 		return nil, err
 	}

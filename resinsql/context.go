@@ -39,24 +39,13 @@ func namedAnyArgs(args []driver.NamedValue) []any {
 }
 
 // QueryContext implements driver.QueryerContext: one-shot queries skip
-// the driver.Stmt round trip.
+// the driver.Stmt round trip. The text runs as a one-shot prepared
+// statement, so named arguments bind as they do on a Stmt.
 func (c *conn) QueryContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Route through the prepared-statement layer (the plan cache makes
-	// this cheap) so named arguments bind uniformly, as on the server.
-	var st *sqldb.Stmt
-	var err error
-	if c.tx != nil {
-		st, err = c.tx.PrepareRaw(query)
-	} else {
-		st, err = c.db.PrepareRaw(query)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res, err := st.Query(namedAnyArgs(args)...)
+	res, err := c.target().QueryRaw(query, namedAnyArgs(args)...)
 	if err != nil {
 		return nil, err
 	}
@@ -72,22 +61,32 @@ func (c *conn) ExecContext(ctx context.Context, query string, args []driver.Name
 	return result{affected: int64(r.(*rows).res.Affected)}, nil
 }
 
-// BeginTx implements driver.ConnBeginTx. The engine has one isolation
-// level — serializable speculative copies — so any explicit weaker
-// request is refused rather than silently upgraded; read-only
-// transactions are not modeled (use plain queries, which read a
-// consistent MVCC snapshot anyway).
+// BeginTx implements driver.ConnBeginTx, under checkTxOptions.
 func (c *conn) BeginTx(ctx context.Context, opts driver.TxOptions) (driver.Tx, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if lvl := sql.IsolationLevel(opts.Isolation); lvl != sql.LevelDefault && lvl != sql.LevelSerializable {
-		return nil, fmt.Errorf("resinsql: isolation level %s not supported (transactions are serializable)", lvl)
-	}
-	if opts.ReadOnly {
-		return nil, errors.New("resinsql: read-only transactions are not supported")
+	if err := checkTxOptions(opts); err != nil {
+		return nil, err
 	}
 	return c.Begin()
+}
+
+// checkTxOptions admits the transactions the engine provides, for the
+// in-process and the net: connection alike. The engine has one isolation
+// level, snapshot isolation: write skew is allowed (docs/SQL.md §9), so
+// a request for serializable — like any level other than the default
+// and sql.LevelSnapshot — is refused rather than silently weakened.
+// Read-only transactions are not modeled (use plain queries, which read
+// a consistent MVCC snapshot anyway).
+func checkTxOptions(opts driver.TxOptions) error {
+	if lvl := sql.IsolationLevel(opts.Isolation); lvl != sql.LevelDefault && lvl != sql.LevelSnapshot {
+		return fmt.Errorf("resinsql: isolation level %s not supported (transactions run under snapshot isolation)", lvl)
+	}
+	if opts.ReadOnly {
+		return errors.New("resinsql: read-only transactions are not supported")
+	}
+	return nil
 }
 
 // QueryContext implements driver.StmtQueryContext.

@@ -2,7 +2,6 @@ package resinsql
 
 import (
 	"context"
-	"database/sql"
 	"database/sql/driver"
 	"errors"
 	"fmt"
@@ -101,14 +100,11 @@ func (c *netConn) Begin() (driver.Tx, error) {
 	return c.BeginTx(context.Background(), driver.TxOptions{})
 }
 
-// BeginTx implements driver.ConnBeginTx, with the same isolation rules
+// BeginTx implements driver.ConnBeginTx, under the same checkTxOptions
 // as the in-process connection.
 func (c *netConn) BeginTx(ctx context.Context, opts driver.TxOptions) (driver.Tx, error) {
-	if lvl := sql.IsolationLevel(opts.Isolation); lvl != sql.LevelDefault && lvl != sql.LevelSerializable {
-		return nil, fmt.Errorf("resinsql: isolation level %s not supported (transactions are serializable)", lvl)
-	}
-	if opts.ReadOnly {
-		return nil, errors.New("resinsql: read-only transactions are not supported")
+	if err := checkTxOptions(opts); err != nil {
+		return nil, err
 	}
 	if c.inTx {
 		return nil, errors.New("resinsql: transaction already open on this connection")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"database/sql"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,6 +125,44 @@ func TestNetDSNPreparedNamedAndContext(t *testing.T) {
 	if _, err := db.BeginTx(ctx, &sql.TxOptions{Isolation: sql.LevelReadCommitted}); err == nil {
 		t.Fatal("read-committed BeginTx accepted")
 	}
+}
+
+// checkIsolationLevels pins the isolation levels BeginTx admits: the
+// engine runs snapshot isolation, so the default level and
+// sql.LevelSnapshot begin a transaction, and serializable — which
+// snapshot isolation does not provide, write skew being allowed — is
+// refused with an error naming the level the engine does run.
+func checkIsolationLevels(t *testing.T, db *sql.DB) {
+	t.Helper()
+	ctx := context.Background()
+	for _, lvl := range []sql.IsolationLevel{sql.LevelDefault, sql.LevelSnapshot} {
+		tx, err := db.BeginTx(ctx, &sql.TxOptions{Isolation: lvl})
+		if err != nil {
+			t.Fatalf("BeginTx(%s): %v", lvl, err)
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, lvl := range []sql.IsolationLevel{sql.LevelSerializable, sql.LevelReadCommitted, sql.LevelLinearizable} {
+		_, err := db.BeginTx(ctx, &sql.TxOptions{Isolation: lvl})
+		if err == nil {
+			t.Fatalf("BeginTx(%s) accepted", lvl)
+		}
+		if !strings.Contains(err.Error(), "snapshot isolation") {
+			t.Errorf("BeginTx(%s) error %q does not name snapshot isolation", lvl, err)
+		}
+	}
+}
+
+func TestNetDSNIsolationLevels(t *testing.T) {
+	db, _ := openNet(t)
+	checkIsolationLevels(t, db)
+}
+
+func TestLocalIsolationLevels(t *testing.T) {
+	db, _ := open(t, "isolation")
+	checkIsolationLevels(t, db)
 }
 
 // TestNetDSNContextCanceled: a canceled context fails the call before

@@ -212,17 +212,23 @@ type conn struct {
 // Prepare compiles the query once on the RESIN side; inside a
 // transaction the statement executes against the speculative state.
 func (c *conn) Prepare(query string) (driver.Stmt, error) {
-	var st *sqldb.Stmt
-	var err error
-	if c.tx != nil {
-		st, err = c.tx.PrepareRaw(query)
-	} else {
-		st, err = c.db.PrepareRaw(query)
-	}
+	st, err := c.target().PrepareRaw(query)
 	if err != nil {
 		return nil, err
 	}
 	return &stmt{st: st}, nil
+}
+
+// target is where the connection's statements run: its open
+// transaction, or else the database.
+func (c *conn) target() interface {
+	PrepareRaw(string) (*sqldb.Stmt, error)
+	QueryRaw(string, ...any) (*sqldb.Result, error)
+} {
+	if c.tx != nil {
+		return c.tx
+	}
+	return c.db
 }
 
 func (c *conn) Close() error { return nil }
