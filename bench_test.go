@@ -627,6 +627,63 @@ func BenchmarkSQLOrderByPushdown(b *testing.B) {
 	}
 }
 
+// BenchmarkSQLOrderByOtherColumn measures the forum listing — `WHERE
+// forum = ? ORDER BY id DESC LIMIT 10` over 8 forums × 1,000 messages
+// interleaved by id, indexed on forum and id — at the engine. The walk
+// arm is the planner's choice: walk the id index and stop after 10 rows
+// of the forum (sorts/op 0). The scan arm (ForceScan) evaluates every
+// row and keeps the top 10 with the bounded sort (sorts/op 1).
+func BenchmarkSQLOrderByOtherColumn(b *testing.B) {
+	const forums, perForum = 8, 1000
+	db := sqldb.Open(core.NewRuntime())
+	db.MustExec("CREATE TABLE messages (id INT, forum INT, body TEXT)")
+	db.MustExec("CREATE INDEX ON messages (forum)")
+	db.MustExec("CREATE INDEX ON messages (id)")
+	for i := 0; i < forums*perForum; i += 100 {
+		var q strings.Builder
+		q.WriteString("INSERT INTO messages (id, forum, body) VALUES ")
+		for j := i; j < i+100; j++ {
+			if j > i {
+				q.WriteString(", ")
+			}
+			fmt.Fprintf(&q, "(%d, %d, 'message %d')", j, j%forums, j)
+		}
+		db.MustExec(q.String())
+	}
+	eng := db.Engine()
+	for _, arm := range []struct {
+		name      string
+		forceScan bool
+	}{{"walk", false}, {"scan", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			stmts := make([]sqldb.Statement, forums)
+			for f := range stmts {
+				stmt, err := sqldb.Parse(core.NewString(fmt.Sprintf(
+					"SELECT id, body FROM messages WHERE forum = %d ORDER BY id DESC LIMIT 10", f)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				stmt.(*sqldb.Select).ForceScan = arm.forceScan
+				stmts[f] = stmt
+			}
+			sort0 := sqldb.SortCount()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, _, err := eng.ExecuteRaw(stmts[i%forums])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Len() != 10 {
+					b.Fatalf("forum %d: %d rows", i%forums, res.Len())
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(sqldb.SortCount()-sort0)/float64(b.N), "sorts/op")
+		})
+	}
+}
+
 // BenchmarkSQLHashJoin measures a 5k×5k INNER JOIN at the engine: the
 // planned hash join (equality-bucket build over the smaller input,
 // chosen by the cardinality cost hook) against the nested-loop

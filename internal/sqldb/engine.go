@@ -705,6 +705,10 @@ func (e *Engine) applyReplayGroup(items []walItem) error {
 	if bumped {
 		e.frontier.Store(born)
 	}
+	// A follower and a recovering engine reclaim on the primary's
+	// cadence; without it they keep every tombstone, dead version and
+	// stale index pair they ever applied.
+	e.vacuumOnCadence()
 	return nil
 }
 
@@ -715,9 +719,7 @@ func (e *Engine) afterMutate() {
 	if e.txBase != nil {
 		return
 	}
-	if e.muts >= vacuumEvery {
-		e.vacuum()
-	}
+	e.vacuumOnCadence()
 	if limit := e.autoCompact.Load(); limit > 0 && e.wal != nil && e.wal.size > limit &&
 		e.compacting.CompareAndSwap(false, true) {
 		go func() {
@@ -726,6 +728,14 @@ func (e *Engine) afterMutate() {
 			// a broken WAL already refuses appends with its own error.
 			e.compactWAL() //nolint:errcheck
 		}()
+	}
+}
+
+// vacuumOnCadence runs vacuum once vacuumEvery mutations have applied
+// since the last one. Caller holds the write lock.
+func (e *Engine) vacuumOnCadence() {
+	if e.muts >= vacuumEvery {
+		e.vacuum()
 	}
 }
 
@@ -1126,6 +1136,80 @@ func (e *Engine) execSelect(s *Select) (*rawResult, error) {
 	return e.selectAt(nil, s, nil)
 }
 
+// preferOrderWalk is the LIMIT cost hook (chooseBuildSide's sibling):
+// for `a = ? ORDER BY b LIMIT k`, walking b's index reaches k rows of
+// a's bucket after about k·rows/bucket visits when the bucket's rows
+// spread evenly over b's order, against the whole bucket the probe path
+// copies and sorts. Walk when the expected visits are fewer.
+func preferOrderWalk(k, rows, bucket int) bool {
+	return k < bucket && uint64(k)*uint64(rows) < uint64(bucket)*uint64(bucket)
+}
+
+// limitWalk evaluates an ordered index traversal under the read lock,
+// in final ORDER BY order, until k rows match (k < 0: no LIMIT): each
+// visited (key, id) pair goes through the visible-key rule and the full
+// WHERE exactly as the lock-free phase would. The walk evaluates at
+// most budget pairs. Past that an ordered walk (spill) copies the rest
+// of its traversal into cands for the lock-free phase to finish, while
+// the ORDER BY walk over an equality probe gives up (exhausted) so the
+// caller can fall back to the probe. Either way the evaluation done
+// under the lock stays bounded.
+type limitWalk struct {
+	t      *table
+	where  Expr
+	snap   uint64
+	ci     int // the walked index's column
+	k      int
+	budget int
+	spill  bool
+	// eqCI and eqKey, when eqKey is set, name the equality probe the
+	// walk displaced: a row outside that bucket cannot satisfy the WHERE
+	// (the bucket is a superset of the conjunct's rows), so the walk
+	// rejects it on the key without evaluating the WHERE.
+	eqCI  int
+	eqKey string
+
+	rows      [][]value
+	cands     []selCand
+	exhausted bool
+	err       error
+}
+
+func (w *limitWalk) visit(key string, id uint64) bool {
+	if w.k >= 0 && len(w.rows) >= w.k {
+		limitStops.Add(1)
+		return false
+	}
+	en := w.t.byID[id]
+	if w.budget <= 0 {
+		if !w.spill {
+			w.exhausted = true
+			return false
+		}
+		if en != nil {
+			w.cands = append(w.cands, selCand{en: en, key: key, checkKey: true})
+		}
+		return true
+	}
+	w.budget--
+	if en == nil {
+		return true
+	}
+	v := en.visible(w.snap)
+	if v == nil || !keyMatches(v.vals[w.ci], key) || (w.eqKey != "" && !keyMatches(v.vals[w.eqCI], w.eqKey)) {
+		return true
+	}
+	ok, err := evalBool(w.where, w.t, v.vals)
+	if err != nil {
+		w.err = err
+		return false
+	}
+	if ok {
+		w.rows = append(w.rows, v.vals)
+	}
+	return true
+}
+
 // selectAt executes a SELECT over e in two phases. Under the read lock
 // it resolves the table (t may be pre-resolved by a speculative-engine
 // redirect — the pointer stays valid even if the base dropped the name),
@@ -1198,13 +1282,19 @@ func (e *Engine) selectAt(t *table, s *Select, pinned *uint64) (*rawResult, erro
 	// the post-filter sort (counted by SortCount) can be skipped —
 	// ORDER BY pushdown. Every path re-evaluates the full WHERE and the
 	// visible-key rule, so the choice affects only cost and never
-	// results (docs/SQL.md §4).
+	// results (docs/SQL.md §4). With a LIMIT, ordered traversals run as
+	// a limitWalk instead: evaluated in place under the lock, they stop
+	// after k matches rather than copying the whole traversal out.
 	var cands []selCand
+	var matched [][]value
 	probeCI := -1
 	ordered := false
 	probe := t.analyzeProbe(s.Where)
+	var orderIx *orderedIndex
 	if s.ForceScan {
 		probe = nil
+	} else if orderCI >= 0 {
+		orderIx = t.indexes[orderCI]
 	}
 	fill := func(ics []indexCand) {
 		cands = make([]selCand, 0, len(ics))
@@ -1214,30 +1304,65 @@ func (e *Engine) selectAt(t *table, s *Select, pinned *uint64) (*rawResult, erro
 			}
 		}
 	}
+	// walkOrdered serves an ordered traversal as a limitWalk that spills
+	// what its budget leaves over into cands. Without a LIMIT the budget
+	// is 0: the whole traversal is copied out, as before.
+	walkOrdered := func(ix *orderedIndex, sp keySpan, ci int) error {
+		w := limitWalk{t: t, where: s.Where, snap: snap, ci: ci, k: s.Limit, spill: true}
+		if s.Limit >= 0 {
+			w.budget = 8 * (s.Limit + 8)
+		}
+		ix.walk(sp, s.Desc, w.visit)
+		matched, cands, probeCI, ordered = w.rows, w.cands, ci, true
+		return w.err
+	}
+	var eqKey string
+	if probe != nil && probe.eq != nil {
+		eqKey = indexKey(*probe.eq)
+	}
+	var err error
 	switch {
 	case probe != nil && orderCI == probe.ci:
 		// The probed conjunct is on the ORDER BY column: a key-ordered
 		// traversal of the probe span is already sorted. (An equality
 		// bucket is one key in ascending row order — exactly what the
 		// stable sort would produce for either direction.)
-		fill(probe.candidates(s.Desc))
+		err = walkOrdered(probe.ix, probe.span(), probe.ci)
+	case eqKey != "" && orderIx != nil && s.Limit >= 0 &&
+		preferOrderWalk(s.Limit, len(t.byID), len(probe.ix.m[eqKey])):
+		// The cost hook: walking the ORDER BY index visits about
+		// k·rows/bucket pairs before k rows of the bucket turn up, fewer
+		// than the bucket the probe would copy and sort. The walk may
+		// visit at most that bucket's length; on correlated data it runs
+		// out and the probe path below serves the query after all.
+		w := limitWalk{t: t, where: s.Where, snap: snap, ci: orderCI, k: s.Limit,
+			budget: len(probe.ix.m[eqKey]), eqCI: probe.ci, eqKey: eqKey}
+		orderIx.walk(orderIx.all(), s.Desc, w.visit)
+		if w.err != nil {
+			return nil, w.err
+		}
+		if !w.exhausted {
+			matched, probeCI, ordered = w.rows, orderCI, true
+			break
+		}
+		fill(probe.rowOrderCandidates())
 		probeCI = probe.ci
-		ordered = true
 	case probe != nil:
 		fill(probe.rowOrderCandidates())
 		probeCI = probe.ci
-	case orderCI >= 0 && t.indexes[orderCI] != nil && !s.ForceScan:
+	case orderIx != nil:
 		// ORDER BY pushdown without a probe: traverse the whole ordered
 		// index (NULL bucket first for ASC, last for DESC) and filter.
-		fill(t.indexes[orderCI].orderedCands(s.Desc))
-		probeCI = orderCI
-		ordered = true
+		err = walkOrdered(orderIx, orderIx.all(), orderCI)
 	default:
 		entries := t.entries // slice header copy; contents immutable for this snapshot
 		cands = make([]selCand, len(entries))
 		for i, en := range entries {
 			cands[i] = selCand{en: en}
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	unlock()
 
@@ -1247,7 +1372,9 @@ func (e *Engine) selectAt(t *table, s *Select, pinned *uint64) (*rawResult, erro
 	// the LIMIT short-circuits the walk after k visible matches instead
 	// of collecting everything and truncating (top-k is O(k), not O(n)).
 	canStop := s.Limit >= 0 && (ordered || orderCI < 0)
-	matched := make([][]value, 0, len(cands))
+	if matched == nil {
+		matched = make([][]value, 0, len(cands))
+	}
 	for _, c := range cands {
 		if canStop && len(matched) >= s.Limit {
 			limitStops.Add(1)
@@ -1270,11 +1397,11 @@ func (e *Engine) selectAt(t *table, s *Select, pinned *uint64) (*rawResult, erro
 	}
 	if orderCI >= 0 && !ordered {
 		sortCalls.Add(1)
-		sort.SliceStable(matched, func(i, j int) bool {
+		matched = stableTopK(matched, s.Limit, func(a, b []value) bool {
 			if s.Desc {
-				return valueLess(matched[j][orderCI], matched[i][orderCI])
+				return valueLess(b[orderCI], a[orderCI])
 			}
-			return valueLess(matched[i][orderCI], matched[j][orderCI])
+			return valueLess(a[orderCI], b[orderCI])
 		})
 	}
 	if s.Limit >= 0 && len(matched) > s.Limit {
@@ -1515,6 +1642,63 @@ func valueLess(a, b value) bool {
 		return a.null && !b.null
 	}
 	return valueCompare(a, b) < 0
+}
+
+// stableTopK orders xs by less and keeps the first k (every element when
+// k < 0). Ties keep their input order, so the result equals
+// sort.SliceStable followed by truncation to k, element for element;
+// when k is below len(xs) it costs O(n log k) through a bounded heap
+// instead of sorting everything.
+func stableTopK[T any](xs []T, k int, less func(a, b T) bool) []T {
+	if k < 0 || k >= len(xs) {
+		sort.SliceStable(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
+		return xs
+	}
+	if k == 0 {
+		return xs[:0]
+	}
+	// before is the total order of the stable sort: by less, then by
+	// input position.
+	before := func(i, j int) bool {
+		return less(xs[i], xs[j]) || (!less(xs[j], xs[i]) && i < j)
+	}
+	// heap is a max-heap of input positions under before: its root is
+	// the kept element that comes last.
+	heap := make([]int, k)
+	down := func(i int) {
+		for {
+			l, m := 2*i+1, i
+			if l < k && before(heap[m], heap[l]) {
+				m = l
+			}
+			if r := l + 1; r < k && before(heap[m], heap[r]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for i := range heap {
+		heap[i] = i
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := k; i < len(xs); i++ {
+		if before(i, heap[0]) {
+			heap[0] = i
+			down(0)
+		}
+	}
+	sort.Slice(heap, func(i, j int) bool { return before(heap[i], heap[j]) })
+	out := make([]T, k)
+	for i, p := range heap {
+		out[i] = xs[p]
+	}
+	return out
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any byte).

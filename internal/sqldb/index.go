@@ -20,7 +20,11 @@ import (
 //     buckets of the key span;
 //   - ORDER BY pushdown: traversing every bucket in key order emits the
 //     whole table in `ORDER BY col` order (NULL bucket first for ASC,
-//     last for DESC), so the post-filter sort can be skipped.
+//     last for DESC), so the post-filter sort can be skipped. Under a
+//     LIMIT the traversal runs lazily and stops after k matches, which
+//     also lets `a = ? ORDER BY b LIMIT k` walk b's index instead of
+//     sorting a's bucket when that visits fewer rows (preferOrderWalk in
+//     engine.go).
 //
 // Under MVCC the buckets are a *superset*: a row id stays in the bucket
 // of a superseded value until vacuum drains the stale reference
@@ -64,8 +68,9 @@ func LimitStopCount() uint64 { return limitStops.Load() }
 
 // orderedIndex is an ordered index over one column: equality buckets
 // keyed by canonical equality key, plus the distinct non-null values in
-// valueLess order. Buckets always hold ascending row ids — ids are
-// allocated monotonically and entries append in id order, so bucket
+// valueLess order, each kept beside its canonical key so a traversal
+// allocates nothing per key. Buckets always hold ascending row ids — ids
+// are allocated monotonically and entries append in id order, so bucket
 // order is scan-equivalent row order and candidate lists inherit
 // stable-sort equivalence without re-sorting. NULLs live only in the
 // reserved bucket: no range ever matches NULL, so the sorted sequence
@@ -78,16 +83,23 @@ func LimitStopCount() uint64 { return limitStops.Load() }
 // pending stale reference never drained is a no-op.
 type orderedIndex struct {
 	m    map[string][]uint64
-	vals []value // distinct non-null values, sorted by valueLess
+	keys []sortedKey // distinct non-null values, sorted by valueLess
+}
+
+// sortedKey is one entry of the sorted sequence: a value and its
+// canonical equality key (indexKey(v)), the key of its bucket.
+type sortedKey struct {
+	v   value
+	key string
 }
 
 func newOrderedIndex() *orderedIndex {
 	return &orderedIndex{m: make(map[string][]uint64)}
 }
 
-// search returns the first position in vals whose value is >= v.
+// search returns the first position in keys whose value is >= v.
 func (ix *orderedIndex) search(v value) int {
-	return sort.Search(len(ix.vals), func(i int) bool { return !valueLess(ix.vals[i], v) })
+	return sort.Search(len(ix.keys), func(i int) bool { return !valueLess(ix.keys[i].v, v) })
 }
 
 func (ix *orderedIndex) add(v value, id uint64) {
@@ -95,9 +107,9 @@ func (ix *orderedIndex) add(v value, id uint64) {
 	bucket, ok := ix.m[k]
 	if !ok && !v.null {
 		i := ix.search(v)
-		ix.vals = append(ix.vals, value{})
-		copy(ix.vals[i+1:], ix.vals[i:])
-		ix.vals[i] = v
+		ix.keys = append(ix.keys, sortedKey{})
+		copy(ix.keys[i+1:], ix.keys[i:])
+		ix.keys[i] = sortedKey{v: v, key: k}
 	}
 	// Keep ids ascending: INSERT appends monotonically growing ids
 	// (fast path); UPDATE moves an existing row into another bucket at
@@ -132,27 +144,42 @@ func (ix *orderedIndex) remove(v value, id uint64) {
 	}
 	delete(ix.m, k)
 	if !v.null {
-		if j := ix.search(v); j < len(ix.vals) && indexKey(ix.vals[j]) == k {
-			ix.vals = append(ix.vals[:j], ix.vals[j+1:]...)
+		if j := ix.search(v); j < len(ix.keys) && ix.keys[j].key == k {
+			ix.keys = append(ix.keys[:j], ix.keys[j+1:]...)
 		}
 	}
 }
 
-// span returns the half-open vals range [start, end) covered by the
-// given bounds; a nil bound is unbounded on that side.
-func (ix *orderedIndex) span(lo, hi *value, loIncl, hiIncl bool) (int, int) {
+// keySpan is the part of an ordered index a traversal visits: the single
+// bucket key when key is set (an equality probe), otherwise the sorted
+// positions [start, end), with the NULL bucket spliced in at the
+// NULLS-first (ASC) or NULLS-last (DESC) end when nulls is set.
+type keySpan struct {
+	key        string
+	start, end int
+	nulls      bool
+}
+
+// all is the span of a whole-index traversal: every key, NULLs included.
+func (ix *orderedIndex) all() keySpan {
+	return keySpan{end: len(ix.keys), nulls: true}
+}
+
+// span returns the key span covered by the given bounds; a nil bound is
+// unbounded on that side. Ranges never match NULL.
+func (ix *orderedIndex) span(lo, hi *value, loIncl, hiIncl bool) keySpan {
 	start := 0
 	if lo != nil {
 		if loIncl {
 			start = ix.search(*lo)
 		} else {
-			start = sort.Search(len(ix.vals), func(i int) bool { return valueLess(*lo, ix.vals[i]) })
+			start = sort.Search(len(ix.keys), func(i int) bool { return valueLess(*lo, ix.keys[i].v) })
 		}
 	}
-	end := len(ix.vals)
+	end := len(ix.keys)
 	if hi != nil {
 		if hiIncl {
-			end = sort.Search(len(ix.vals), func(i int) bool { return valueLess(*hi, ix.vals[i]) })
+			end = sort.Search(len(ix.keys), func(i int) bool { return valueLess(*hi, ix.keys[i].v) })
 		} else {
 			end = ix.search(*hi)
 		}
@@ -160,45 +187,51 @@ func (ix *orderedIndex) span(lo, hi *value, loIncl, hiIncl bool) (int, int) {
 	if end < start {
 		end = start
 	}
-	return start, end
+	return keySpan{start: start, end: end}
 }
 
-// indexCand is one candidate an index traversal emitted: a row id and
-// the bucket key it was found under. The snapshot evaluation accepts
-// the candidate only if the version visible to the reader carries key —
-// the tombstone/stale-aware traversal rule (see the package comment).
-type indexCand struct {
-	key string
-	id  uint64
-}
-
-// orderedCands returns every (key, id) pair in `ORDER BY col` order:
-// keys ascending (descending for desc), the NULL bucket first for ASC
-// and last for DESC, each bucket in ascending id order — exactly the
+// walk is the one traversal primitive: it calls fn with every (key, id)
+// pair of the span in `ORDER BY col` order — keys ascending (descending
+// for desc), the NULL bucket first for ASC and last for DESC, each bucket
+// in ascending id order — until fn returns false. That is exactly the
 // order a stable sort of the scanned visible rows produces, which is
 // what makes skipping that sort result-neutral. Ids superseded under a
 // key survive here until vacuum; the visible-key rule drops them.
-func (ix *orderedIndex) orderedCands(desc bool) []indexCand {
-	nullKey := indexKey(nullValue())
-	nulls := ix.m[nullKey]
-	out := make([]indexCand, 0, len(ix.vals)+len(nulls))
-	appendBucket := func(k string) {
+// Callers hold Engine.mu: writers shift buckets and the key sequence in
+// place.
+func (ix *orderedIndex) walk(sp keySpan, desc bool, fn func(key string, id uint64) bool) {
+	bucket := func(k string) bool {
 		for _, id := range ix.m[k] {
-			out = append(out, indexCand{key: k, id: id})
+			if !fn(k, id) {
+				return false
+			}
+		}
+		return true
+	}
+	if sp.key != "" {
+		bucket(sp.key)
+		return
+	}
+	nullKey := indexKey(nullValue())
+	if sp.nulls && !desc && !bucket(nullKey) {
+		return
+	}
+	if desc {
+		for i := sp.end - 1; i >= sp.start; i-- {
+			if !bucket(ix.keys[i].key) {
+				return
+			}
+		}
+	} else {
+		for i := sp.start; i < sp.end; i++ {
+			if !bucket(ix.keys[i].key) {
+				return
+			}
 		}
 	}
-	if !desc {
-		appendBucket(nullKey)
-		for _, v := range ix.vals {
-			appendBucket(indexKey(v))
-		}
-		return out
+	if sp.nulls && desc {
+		bucket(nullKey)
 	}
-	for i := len(ix.vals) - 1; i >= 0; i-- {
-		appendBucket(indexKey(ix.vals[i]))
-	}
-	appendBucket(nullKey)
-	return out
 }
 
 // indexProbe is one usable access path the predicate analyzer found: an
@@ -214,37 +247,22 @@ type indexProbe struct {
 	loIncl, hiIncl bool
 }
 
-// candidates returns the probe's (key, id) pairs. Ordered candidates
-// come out in ORDER BY-equivalent key order (asc or desc); unordered
-// callers use rowOrderCandidates. Equality buckets are a single key, so
-// they are simultaneously in key order and in row order.
-func (p *indexProbe) candidates(desc bool) []indexCand {
+// span returns the probe's key span. An equality bucket is a single key,
+// so it is simultaneously in key order and in row order.
+func (p *indexProbe) span() keySpan {
 	if p.eq != nil {
-		k := indexKey(*p.eq)
-		bucket := p.ix.m[k]
-		out := make([]indexCand, 0, len(bucket))
-		for _, id := range bucket {
-			out = append(out, indexCand{key: k, id: id})
-		}
-		return out
+		return keySpan{key: indexKey(*p.eq)}
 	}
-	start, end := p.ix.span(p.lo, p.hi, p.loIncl, p.hiIncl)
-	var out []indexCand
-	appendBucket := func(k string) {
-		for _, id := range p.ix.m[k] {
-			out = append(out, indexCand{key: k, id: id})
-		}
-	}
-	if desc {
-		for i := end - 1; i >= start; i-- {
-			appendBucket(indexKey(p.ix.vals[i]))
-		}
-		return out
-	}
-	for i := start; i < end; i++ {
-		appendBucket(indexKey(p.ix.vals[i]))
-	}
-	return out
+	return p.ix.span(p.lo, p.hi, p.loIncl, p.hiIncl)
+}
+
+// indexCand is one candidate an index traversal emitted: a row id and
+// the bucket key it was found under. The snapshot evaluation accepts
+// the candidate only if the version visible to the reader carries key —
+// the tombstone/stale-aware traversal rule (see the package comment).
+type indexCand struct {
+	key string
+	id  uint64
 }
 
 // rowOrderCandidates returns the probe's candidates in ascending row id
@@ -252,7 +270,11 @@ func (p *indexProbe) candidates(desc bool) []indexCand {
 // between two keys of the range appears once per key; the visible-key
 // rule keeps exactly one.
 func (p *indexProbe) rowOrderCandidates() []indexCand {
-	cand := p.candidates(false)
+	var cand []indexCand
+	p.ix.walk(p.span(), false, func(k string, id uint64) bool {
+		cand = append(cand, indexCand{key: k, id: id})
+		return true
+	})
 	if p.eq == nil {
 		sort.Slice(cand, func(i, j int) bool { return cand[i].id < cand[j].id })
 	}

@@ -40,6 +40,7 @@ func FuzzPredicateAnalyzer(f *testing.F) {
 	}
 	indexed.MustExec("CREATE INDEX ON t (id)")
 	indexed.MustExec("CREATE INDEX ON t (name)")
+	indexed.MustExec("CREATE INDEX ON t (val)")
 
 	for _, seed := range []string{
 		"WHERE id = 3",
@@ -53,6 +54,17 @@ func FuzzPredicateAnalyzer(f *testing.F) {
 		"WHERE NOT (id < 5) AND name = 'w1'",
 		"WHERE id = 2 OR id = 4 ORDER BY id",
 		"ORDER BY name",
+		// An equality on one indexed column ordered by another under a
+		// LIMIT: the ORDER BY walk (val's 6-row buckets win the cost rule
+		// at LIMIT 1 and 0), or the probe plus a bounded top-k.
+		"WHERE val = 2 ORDER BY id DESC LIMIT 1",
+		"WHERE val = 2 ORDER BY id LIMIT 1",
+		"WHERE val = 3 ORDER BY name DESC LIMIT 1",
+		"WHERE val = 1 ORDER BY id DESC LIMIT 0",
+		"WHERE val = 4 AND id > 3 ORDER BY id DESC LIMIT 2",
+		"WHERE name = 'w3' ORDER BY id LIMIT 1",
+		"WHERE id = 5 ORDER BY val DESC LIMIT 1",
+		"ORDER BY id DESC LIMIT 4",
 		"ORDER BY missing",
 		"WHERE",
 		"WHERE id = 1; DROP TABLE t",

@@ -63,10 +63,14 @@ func requireSameResults(t testing.TB, q string, indexed, scan *Result) {
 }
 
 // diffSelect runs one SELECT against both databases, requires matching
-// error behavior, and (on success) identical results.
-func diffSelect(t testing.TB, indexed, scan *DB, q string) {
+// error behavior, and (on success) identical results. It returns how far
+// the indexed execution moved SortCount and LimitStopCount, so callers
+// can tell which plan served it.
+func diffSelect(t testing.TB, indexed, scan *DB, q string) (sorts, stops uint64) {
 	t.Helper()
+	sort0, stop0 := SortCount(), LimitStopCount()
 	a, aerr := indexed.QueryRaw(q)
+	sorts, stops = SortCount()-sort0, LimitStopCount()-stop0
 	b, berr := scan.QueryRaw(q)
 	if (aerr == nil) != (berr == nil) {
 		t.Fatalf("%s: indexed err=%v, scan err=%v", q, aerr, berr)
@@ -75,9 +79,10 @@ func diffSelect(t testing.TB, indexed, scan *DB, q string) {
 		if aerr.Error() != berr.Error() {
 			t.Fatalf("%s: error text differs:\n  indexed %v\n  scan    %v", q, aerr, berr)
 		}
-		return
+		return sorts, stops
 	}
 	requireSameResults(t, q, a, b)
+	return sorts, stops
 }
 
 // diffWorkload drives both databases through identical DML (the tracked
@@ -166,6 +171,80 @@ func (w *diffWorkload) randSelect() string {
 	return q
 }
 
+// listRows is the size of the listing table f, large enough for the
+// ORDER BY walk (docs/SQL.md §4) to win the cost rule for LIMITs up to
+// listRows/16 on a bucket of a quarter of the rows.
+const listRows = 400
+
+// listing generates the `a = ? ORDER BY b [DESC] LIMIT k` shapes over the
+// listing table f (id INT, a INT, blk INT, body TEXT), with its own
+// random stream. Column a interleaves its four values row by row, so a
+// walk of the id index finds k rows of any bucket after about 4k visits.
+// Column blk holds them in blocks of consecutive ids, so walking id DESC
+// towards block 0 runs out of budget and falls back to the probe.
+type listing struct {
+	rng  *rand.Rand
+	next int
+}
+
+func listingTable(db *DB, indexed bool) {
+	db.MustExec("CREATE TABLE f (id INT, a INT, blk INT, body TEXT)")
+	if indexed {
+		for _, col := range []string{"id", "a", "blk"} {
+			db.MustExec("CREATE INDEX ON f (" + col + ")")
+		}
+	}
+}
+
+// insert returns the INSERT of the next row, its body tainted.
+func (l *listing) insert() core.String {
+	i := l.next
+	l.next++
+	return core.Concat(
+		core.NewString(fmt.Sprintf("INSERT INTO f (id, a, blk, body) VALUES (%d, %d, %d, '", i, i%4, min(i/(listRows/4), 3))),
+		core.NewStringPolicy(fmt.Sprintf("b%d", i), &sanitize.UntrustedData{Source: "listing"}),
+		core.NewString("')"),
+	)
+}
+
+// mutate returns a random write on f: a new row, an UPDATE moving a row
+// to another a or blk key (leaving a stale pair behind), or a DELETE.
+func (l *listing) mutate() core.String {
+	r := l.rng
+	id := r.Intn(l.next)
+	switch r.Intn(4) {
+	case 0:
+		return core.NewString(fmt.Sprintf("UPDATE f SET a = %d WHERE id = %d", r.Intn(4), id))
+	case 1:
+		return core.NewString(fmt.Sprintf("UPDATE f SET blk = %d, id = %d WHERE id = %d", r.Intn(4), r.Intn(l.next), id))
+	case 2:
+		return core.NewString(fmt.Sprintf("DELETE FROM f WHERE id = %d", id))
+	}
+	return l.insert()
+}
+
+// query returns a random listing: an equality on a or blk (sometimes an
+// absent key, sometimes with a second conjunct), ordered by another
+// indexed column, the probed one, or an unindexed one, with a LIMIT.
+func (l *listing) query() string {
+	r := l.rng
+	proj := []string{"*", "id, body", "body, a, blk"}[r.Intn(3)]
+	col := []string{"a", "blk"}[r.Intn(2)]
+	lit := fmt.Sprint(r.Intn(5))
+	if r.Intn(8) == 0 {
+		lit = "'" + lit + "'"
+	}
+	q := fmt.Sprintf("SELECT %s FROM f WHERE %s = %s", proj, col, lit)
+	if r.Intn(4) == 0 {
+		q += fmt.Sprintf(" AND id %s %d", []string{"<", ">=", "!="}[r.Intn(3)], r.Intn(l.next))
+	}
+	q += " ORDER BY " + []string{"id", "id", "id", "a", "blk", "body"}[r.Intn(6)]
+	if r.Intn(2) == 0 {
+		q += " DESC"
+	}
+	return q + fmt.Sprintf(" LIMIT %d", r.Intn(listRows/16))
+}
+
 // TestIndexScanDifferentialProperty is the seeded random workload:
 // DDL, tainted INSERT/UPDATE/DELETE, index churn on the indexed side
 // only, and a stream of random SELECTs diffed between the two engines.
@@ -184,8 +263,36 @@ func TestIndexScanDifferentialProperty(t *testing.T) {
 	words := []string{"ant", "antler", "anthem", "bee", "beetle", "cat", "dog", "zz", ""}
 	randWord := func() string { return words[rng.Intn(len(words))] }
 
+	// The listing table churns and is queried from its own stream, so the
+	// stream over w stays as it was.
+	l := &listing{rng: rand.New(rand.NewSource(20091011))}
+	listingTable(w.indexed, true)
+	listingTable(w.scan, false)
+	for l.next < listRows {
+		w.exec(l.insert())
+	}
+	// walked counts ORDER BY id listings served without a sort, which
+	// only the ORDER BY walk does for a probe on another column;
+	// fellBack counts block-correlated listings that sorted after all.
+	var walked, fellBack int
+	diffListing := func() {
+		q := l.query()
+		sorts, _ := diffSelect(t, w.indexed, w.scan, q)
+		switch {
+		case !strings.Contains(q, " ORDER BY id"):
+		case sorts == 0:
+			walked++
+		case strings.Contains(q, "WHERE blk = 0 ") && strings.Contains(q, " ORDER BY id DESC"):
+			fellBack++
+		}
+	}
+
 	nextID := 0
 	for op := 0; op < 400; op++ {
+		diffListing()
+		if l.rng.Intn(2) == 0 {
+			w.exec(l.mutate())
+		}
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3: // INSERT, every value possibly tainted or NULL
 			var q core.String
@@ -250,16 +357,28 @@ func TestIndexScanDifferentialProperty(t *testing.T) {
 		"SELECT * FROM w ORDER BY name LIMIT 7",
 		"SELECT * FROM w WHERE id > NULL",
 		"SELECT * FROM w WHERE id >= 0 AND name LIKE 'be%' ORDER BY id DESC LIMIT 3",
+		"SELECT * FROM f WHERE a = 1 ORDER BY id DESC LIMIT 10",
+		"SELECT * FROM f WHERE a = 1 ORDER BY id LIMIT 10",
+		"SELECT * FROM f WHERE blk = 0 ORDER BY id DESC LIMIT 10",
+		"SELECT * FROM f WHERE blk = 3 ORDER BY id LIMIT 10",
+		"SELECT * FROM f WHERE a = 2 ORDER BY blk DESC LIMIT 5",
+		"SELECT * FROM f ORDER BY id DESC LIMIT 5",
+		"SELECT * FROM f WHERE id > 100 ORDER BY id LIMIT 5",
 	} {
 		diffSelect(t, w.indexed, w.scan, q)
+	}
+	t.Logf("listings: %d walked, %d fell back to a sort", walked, fellBack)
+	if walked == 0 || fellBack == 0 {
+		t.Fatalf("listing shapes did not cover both plans: %d walked, %d fell back to a sort", walked, fellBack)
 	}
 }
 
 // TestIndexScanDifferentialUnderChurn is the MVCC extension of the
 // differential harness: instead of two quiescent twin databases, ONE
 // database churns under concurrent writers while the main loop pins a
-// snapshot and runs each random SELECT twice against that same snapshot
-// — once through the index planner, once with ForceScan. The two
+// snapshot and runs each random SELECT — every other one a listing on f —
+// twice against that same snapshot: once through the index planner,
+// once with ForceScan. The two
 // executions must agree byte for byte (rows, order, and the shadow
 // policy columns Star projects at engine level), which proves the
 // visible-key rule filters index candidates down to exactly what a
@@ -277,6 +396,13 @@ func TestIndexScanDifferentialUnderChurn(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		if _, err := db.QueryRaw("INSERT INTO w (id, name, val, tag) VALUES (?, ?, ?, ?)",
 			i%20, taint(words[i%len(words)]), i%7, words[(i+3)%len(words)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := &listing{rng: rand.New(rand.NewSource(20091011))}
+	listingTable(db, true)
+	for l.next < listRows {
+		if _, err := db.Query(l.insert()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,6 +432,22 @@ func TestIndexScanDifferentialUnderChurn(t *testing.T) {
 				case 2:
 					_, err = db.QueryRaw("DELETE FROM w WHERE id = ? AND val = ?", id, wrng.Intn(7))
 				}
+				if err == nil {
+					// Churn the listing table too: rows move between a and
+					// blk keys, die, and arrive at the top of the id order.
+					fid := wrng.Intn(listRows)
+					switch wrng.Intn(4) {
+					case 0:
+						_, err = db.QueryRaw("UPDATE f SET a = ? WHERE id = ?", wrng.Intn(4), fid)
+					case 1:
+						_, err = db.QueryRaw("UPDATE f SET blk = ?, id = ? WHERE id = ?", wrng.Intn(4), wrng.Intn(listRows), fid)
+					case 2:
+						_, err = db.QueryRaw("DELETE FROM f WHERE id = ?", fid)
+					case 3:
+						_, err = db.QueryRaw("INSERT INTO f (id, a, blk, body) VALUES (?, ?, ?, ?)",
+							listRows+i, wrng.Intn(4), wrng.Intn(4), taint("late"))
+					}
+				}
 				if err != nil {
 					t.Errorf("churn writer: %v", err)
 					return
@@ -322,6 +464,9 @@ func TestIndexScanDifferentialUnderChurn(t *testing.T) {
 	e := db.Engine()
 	for i := 0; i < iters; i++ {
 		qtext := w.randSelect()
+		if i%2 == 1 {
+			qtext = l.query()
+		}
 		stmt, err := Parse(core.NewString(qtext))
 		if err != nil {
 			t.Fatalf("%s: parse: %v", qtext, err)
@@ -422,6 +567,25 @@ func TestOrderedIndexRebuildMatchesIncremental(t *testing.T) {
 		rebuiltEff := canonicalBuckets(tbl, rebuilt, ci, frontier)
 		if !reflect.DeepEqual(liveEff, rebuiltEff) {
 			t.Fatalf("col %d: incremental index serves different pairs than a from-scratch build\nlive:    %v\nrebuilt: %v", ci, liveEff, rebuiltEff)
+		}
+		// The kept key sequences must agree too, each entry beside its
+		// own canonical key and each key owning a bucket: traversals
+		// read bucket keys from the sequence rather than re-deriving them.
+		seq := func(which string, ix *orderedIndex) []string {
+			out := make([]string, 0, len(ix.keys))
+			for i, sk := range ix.keys {
+				if sk.key != indexKey(sk.v) || len(ix.m[sk.key]) == 0 {
+					t.Fatalf("col %d: %s key %d is %q beside value %v (bucket %v)", ci, which, i, sk.key, sk.v, ix.m[sk.key])
+				}
+				if i > 0 && !valueLess(ix.keys[i-1].v, sk.v) {
+					t.Fatalf("col %d: %s keys out of order at %d: %v then %v", ci, which, i, ix.keys[i-1].v, sk.v)
+				}
+				out = append(out, sk.key)
+			}
+			return out
+		}
+		if liveSeq, rebuiltSeq := seq("live", live), seq("rebuilt", rebuilt); !reflect.DeepEqual(liveSeq, rebuiltSeq) {
+			t.Fatalf("col %d: incremental key sequence differs from a from-scratch build\nlive:    %v\nrebuilt: %v", ci, liveSeq, rebuiltSeq)
 		}
 		// Superset invariant, both structures: every visible row must be
 		// findable under its visible key.

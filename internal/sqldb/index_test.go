@@ -2,6 +2,10 @@ package sqldb
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -327,6 +331,77 @@ func TestOrderByPushdownSkipsSort(t *testing.T) {
 	}
 }
 
+// forumTable builds the forum listing shape: 8 forums × 1,000 messages,
+// indexed on forum and id. Interleaved, message i belongs to forum i%8,
+// so every forum spreads evenly over the id order; block-correlated,
+// forum f holds the ids f·1000 … f·1000+999.
+func forumTable(t *testing.T, interleaved bool) *DB {
+	t.Helper()
+	db := openDB(t)
+	db.MustExec("CREATE TABLE messages (id INT, forum INT, body TEXT)")
+	db.MustExec("CREATE INDEX ON messages (forum)")
+	db.MustExec("CREATE INDEX ON messages (id)")
+	const forums, perForum = 8, 1000
+	for i := 0; i < forums*perForum; i += 100 {
+		q := "INSERT INTO messages (id, forum, body) VALUES "
+		for j := i; j < i+100; j++ {
+			forum := j / perForum
+			if interleaved {
+				forum = j % forums
+			}
+			if j > i {
+				q += ", "
+			}
+			q += fmt.Sprintf("(%d, %d, 'm%d')", j, forum, j)
+		}
+		db.MustExec(q)
+	}
+	return db
+}
+
+// TestOrderByWalkCounters pins the LIMIT cost hook with counter deltas,
+// which do not depend on the machine. The forum listing walks the id
+// index and stops after 10 rows: no sort, one LIMIT stop. On the
+// block-correlated layout, walking id DESC towards forum 0 spends its
+// budget (the 1,000-row bucket) before finding a row, so the probe and
+// its sort serve the query after all: one sort. Both must return the
+// same ten rows as the scan.
+func TestOrderByWalkCounters(t *testing.T) {
+	const q = "SELECT id, forum FROM messages WHERE forum = 0 ORDER BY id DESC LIMIT 10"
+	for _, c := range []struct {
+		name        string
+		interleaved bool
+		sorts       uint64
+		stops       uint64
+		top         string
+	}{
+		{"interleaved", true, 0, 1, "7992"},
+		{"block-correlated", false, 1, 0, "999"},
+	} {
+		db := forumTable(t, c.interleaved)
+		sort0, stop0 := SortCount(), LimitStopCount()
+		res, err := db.QueryRaw(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := SortCount() - sort0; d != c.sorts {
+			t.Errorf("%s: SortCount moved by %d, want %d", c.name, d, c.sorts)
+		}
+		if d := LimitStopCount() - stop0; d != c.stops {
+			t.Errorf("%s: LimitStopCount moved by %d, want %d", c.name, d, c.stops)
+		}
+		// An OR spine gives the analyzer nothing to probe: a full scan.
+		scan, err := db.QueryRaw(strings.Replace(q, "forum = 0", "forum = 0 OR forum = 0", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResults(t, q, res, scan)
+		if top := res.Get(0, "id").Text().Raw(); res.Len() != 10 || top != c.top {
+			t.Errorf("%s: %d rows, first id %s, want 10 rows from id %s", c.name, res.Len(), top, c.top)
+		}
+	}
+}
+
 // TestOrderedIndexNULLSemantics pins the NULL rules: range and LIKE
 // predicates never match NULL, and ORDER BY pushdown emits the NULL
 // bucket first for ASC and last for DESC — exactly where the scan
@@ -452,5 +527,54 @@ func TestPredicateAnalyzerDecisions(t *testing.T) {
 	p = probeFor("id > 2 AND grp >= 1 AND grp <= 3")
 	if p == nil || p.ci != tbl.colIndex("grp") {
 		t.Errorf("two-sided range should win: %+v", p)
+	}
+}
+
+// TestStableTopKMatchesStableSort diffs the bounded top-k against the
+// full stable sort it replaces, truncated: same rows, same order, ties
+// in input order. Keys repeat heavily and include NULLs, so stability
+// and the NULLS-first (ASC) / NULLS-last (DESC) placement both show.
+func TestStableTopKMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 7, 40, 300} {
+		rows := make([][]value, n)
+		for i := range rows {
+			var key value
+			switch r := rng.Intn(10); {
+			case r == 0:
+				key = nullValue()
+			case r < 6:
+				key = intValue(int64(rng.Intn(5)))
+			default:
+				key = textValue(fmt.Sprint("k", rng.Intn(4)))
+			}
+			rows[i] = []value{key, intValue(int64(i))} // column 1 tags the input position
+		}
+		for _, desc := range []bool{false, true} {
+			less := func(a, b []value) bool {
+				if desc {
+					return valueLess(b[0], a[0])
+				}
+				return valueLess(a[0], b[0])
+			}
+			want := append([][]value(nil), rows...)
+			sort.SliceStable(want, func(i, j int) bool { return less(want[i], want[j]) })
+			for _, k := range []int{-1, 0, 1, n - 1, n, n + 5} {
+				if k < -1 {
+					continue
+				}
+				wk := want
+				if k >= 0 && k < len(wk) {
+					wk = wk[:k]
+				}
+				got := stableTopK(append([][]value(nil), rows...), k, less)
+				if len(got) == 0 && len(wk) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, wk) {
+					t.Fatalf("n=%d desc=%v k=%d:\n got  %v\n want %v", n, desc, k, got, wk)
+				}
+			}
+		}
 	}
 }

@@ -482,11 +482,11 @@ func (e *Engine) selectComplexAt(lt, rt *table, s *Select, pinned *uint64) (*raw
 	if !grouped {
 		if orderCI >= 0 {
 			sortCalls.Add(1)
-			sort.SliceStable(filtered, func(i, j int) bool {
+			filtered = stableTopK(filtered, s.Limit, func(a, b []value) bool {
 				if s.Desc {
-					return valueLess(filtered[j][orderCI], filtered[i][orderCI])
+					return valueLess(b[orderCI], a[orderCI])
 				}
-				return valueLess(filtered[i][orderCI], filtered[j][orderCI])
+				return valueLess(a[orderCI], b[orderCI])
 			})
 		}
 		if s.Limit >= 0 && len(filtered) > s.Limit {
@@ -544,11 +544,11 @@ func (e *Engine) selectComplexAt(lt, rt *table, s *Select, pinned *uint64) (*raw
 
 	if orderCI >= 0 {
 		sortCalls.Add(1)
-		sort.SliceStable(groups, func(i, j int) bool {
+		groups = stableTopK(groups, s.Limit, func(a, b *group) bool {
 			if s.Desc {
-				return valueLess(groups[j].first[orderCI], groups[i].first[orderCI])
+				return valueLess(b.first[orderCI], a.first[orderCI])
 			}
-			return valueLess(groups[i].first[orderCI], groups[j].first[orderCI])
+			return valueLess(a.first[orderCI], b.first[orderCI])
 		})
 	}
 	if s.Limit >= 0 && len(groups) > s.Limit {

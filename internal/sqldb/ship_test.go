@@ -391,3 +391,85 @@ func TestNamedPlaceholders(t *testing.T) {
 		t.Fatal("named arg outside prepared execution accepted")
 	}
 }
+
+// TestFollowerVacuums ships many times vacuumEvery insert+delete pairs
+// over a rolling window of live rows. The follower must reclaim on the
+// primary's cadence: its entries, id map and index pairs stay bounded by
+// the live rows plus one cadence of unreclaimed churn. A transaction
+// begun on the follower before the churn pins its snapshot, so it must
+// still read the rows it saw while vacuum runs underneath it.
+func TestFollowerVacuums(t *testing.T) {
+	const live = 10
+	p, f, _ := shipPair(t)
+	p.MustExec("CREATE TABLE t (id INT, body TEXT)")
+	p.MustExec("CREATE INDEX ON t (id)")
+	for i := 0; i < live; i++ {
+		p.MustExec(fmt.Sprintf("INSERT INTO t (id, body) VALUES (%d, 'b%d')", i, i))
+	}
+	shipAll(t, p, f, 1<<20)
+
+	next := live
+	churn := func(pairs int) {
+		t.Helper()
+		for pairs > 0 {
+			tx := p.Begin()
+			for j := 0; j < 32 && pairs > 0; j, pairs = j+1, pairs-1 {
+				tx.MustExec(fmt.Sprintf("INSERT INTO t (id, body) VALUES (%d, 'b%d')", next, next))
+				tx.MustExec(fmt.Sprintf("DELETE FROM t WHERE id = %d", next-live))
+				next++
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			shipAll(t, p, f, 1<<20)
+		}
+	}
+	readAll := func(q interface {
+		QueryRaw(string, ...any) (*Result, error)
+	}) string {
+		t.Helper()
+		res, err := q.QueryRaw("SELECT id, body FROM t ORDER BY id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b []byte
+		for i := 0; i < res.Len(); i++ {
+			b = fmt.Appendf(b, "%s=%s;", res.Get(i, "id").Text().Raw(), res.Get(i, "body").Text().Raw())
+		}
+		return string(b)
+	}
+
+	pinned := f.DB().Begin()
+	before := readAll(pinned)
+	churn(2 * vacuumEvery)
+	if got := readAll(pinned); got != before {
+		t.Fatalf("follower snapshot lost its versions to vacuum:\nbefore %s\nafter  %s", before, got)
+	}
+	if err := pinned.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	churn(3 * vacuumEvery)
+	if got, want := readAll(f.DB()), readAll(p); got != want {
+		t.Fatalf("follower rows differ from primary:\nfollower %s\nprimary  %s", got, want)
+	}
+	e := f.DB().Engine()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	tbl := e.tables["t"]
+	bound := live + vacuumEvery
+	if len(tbl.entries) > bound || len(tbl.byID) > bound {
+		t.Fatalf("follower never vacuums: %d entries, %d ids for %d live rows (bound %d)",
+			len(tbl.entries), len(tbl.byID), live, bound)
+	}
+	for ci, ix := range tbl.indexes {
+		pairs := 0
+		for _, bucket := range ix.m {
+			pairs += len(bucket)
+		}
+		if pairs > bound || len(ix.keys) > bound {
+			t.Fatalf("col %d: index holds %d pairs, %d keys for %d live rows (bound %d)",
+				ci, pairs, len(ix.keys), live, bound)
+		}
+	}
+}
